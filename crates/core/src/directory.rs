@@ -11,8 +11,9 @@
 //! "non-readable while a writer waits" starvation avoidance and its
 //! multiple-readers concurrency.
 
+use pei_engine::FastMap;
 use pei_types::{BlockAddr, ReqId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Outcome of an acquire attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,8 +93,8 @@ pub struct PimDirectory {
     index_bits: u32,
     /// Ideal mode (§7.6): per-block exact locks, no aliasing.
     ideal: bool,
-    ideal_entries: HashMap<BlockAddr, Entry>,
-    held: HashMap<ReqId, (BlockAddr, bool)>,
+    ideal_entries: FastMap<BlockAddr, Entry>,
+    held: FastMap<ReqId, (BlockAddr, bool)>,
     // statistics
     grants: u64,
     queued: u64,
@@ -117,8 +118,8 @@ impl PimDirectory {
             entries: (0..entries).map(|_| Entry::default()).collect(),
             index_bits: entries.trailing_zeros(),
             ideal,
-            ideal_entries: HashMap::new(),
-            held: HashMap::new(),
+            ideal_entries: FastMap::default(),
+            held: FastMap::default(),
             grants: 0,
             queued: 0,
             peak_queue: 0,
@@ -263,14 +264,14 @@ impl pei_types::snap::SnapshotState for PimDirectory {
             *en = load_entry(d)?;
         }
         let n = d.seq(17)?;
-        self.ideal_entries = HashMap::with_capacity(n);
+        self.ideal_entries = FastMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let block = BlockAddr(d.u64()?);
             let en = load_entry(d)?;
             self.ideal_entries.insert(block, en);
         }
         let n = d.seq(17)?;
-        self.held = HashMap::with_capacity(n);
+        self.held = FastMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let id = ReqId(d.u64()?);
             let block = BlockAddr(d.u64()?);
@@ -413,7 +414,7 @@ mod tests {
     fn never_two_writers_same_block() {
         // Property-style check over a deterministic interleaving.
         let mut d = dir();
-        let mut active_writers = std::collections::HashSet::new();
+        let mut active_writers = pei_engine::FastSet::default();
         let mut queued = VecDeque::new();
         for i in 0..100u64 {
             let id = ReqId(i);

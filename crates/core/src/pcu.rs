@@ -12,12 +12,12 @@
 //!   executes offloaded PEIs.
 
 use crate::ops;
-use pei_engine::{ClockDomain, CounterId, Counters, OccupancyPool, Outbox, StatsReport};
+use pei_engine::{ClockDomain, CounterId, Counters, FastMap, OccupancyPool, Outbox, StatsReport};
 use pei_mem::msg::CoreReq;
 use pei_mem::BackingStore;
 use pei_types::mem::ns;
 use pei_types::{Addr, CoreId, Cycle, OperandValue, PimCmd, PimOpKind, PimOut, ReqId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// PCU microarchitecture parameters (§6.1 defaults; Fig. 11 sweeps them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +110,7 @@ pub struct HostPcu {
     core: CoreId,
     cfg: PcuConfig,
     compute: OccupancyPool,
-    tasks: HashMap<ReqId, HostTask>,
+    tasks: FastMap<ReqId, HostTask>,
     // Occupied operand-buffer entries. Smaller than `tasks.len()`:
     // memory-dispatched PEIs hand their entry off to the memory side
     // (on_dispatched_mem) but stay in `tasks` until the result returns.
@@ -147,7 +147,7 @@ impl HostPcu {
             core,
             cfg,
             compute: OccupancyPool::new(cfg.exec_width),
-            tasks: HashMap::new(),
+            tasks: FastMap::default(),
             occupied: 0,
             next_local: 0,
             counters,
@@ -338,7 +338,7 @@ pub struct MemPcu {
     mem_clk: ClockDomain,
     compute: OccupancyPool,
     /// In-service tasks keyed by the DRAM request id currently in flight.
-    tasks: HashMap<ReqId, MemTask>,
+    tasks: FastMap<ReqId, MemTask>,
     waiting: VecDeque<PimCmd>,
     next_local: u64,
     /// High-water mark of occupied operand-buffer entries (a max, so it
@@ -372,7 +372,7 @@ impl MemPcu {
             cfg,
             mem_clk,
             compute: OccupancyPool::new(cfg.exec_width),
-            tasks: HashMap::new(),
+            tasks: FastMap::default(),
             waiting: VecDeque::new(),
             next_local: 0,
             peak_buffer: 0,
@@ -551,7 +551,7 @@ impl pei_types::snap::SnapshotState for HostPcu {
     fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
         self.compute.load(d)?;
         let n = d.seq(26)?;
-        self.tasks = HashMap::with_capacity(n);
+        self.tasks = FastMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let id = ReqId(d.u64()?);
             let seq = d.u64()?;
@@ -598,7 +598,7 @@ impl pei_types::snap::SnapshotState for MemPcu {
     fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
         self.compute.load(d)?;
         let n = d.seq(27)?;
-        self.tasks = HashMap::with_capacity(n);
+        self.tasks = FastMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let id = ReqId(d.u64()?);
             let cmd = PimCmd::load(d)?;

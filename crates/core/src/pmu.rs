@@ -10,10 +10,9 @@
 use crate::directory::{AcquireResult, PimDirectory};
 use crate::dispatch::{balanced_choice, DispatchPolicy};
 use crate::monitor::LocalityMonitor;
-use pei_engine::{CounterId, Counters, Outbox, StatsReport};
+use pei_engine::{CounterId, Counters, FastMap, Outbox, StatsReport};
 use pei_mem::msg::PimFlush;
 use pei_types::{Addr, BlockAddr, CoreId, Cycle, OperandValue, PimCmd, PimOpKind, PimOut, ReqId};
-use std::collections::HashMap;
 
 /// PMU configuration (§6.1 defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,7 +291,7 @@ pub struct Pmu {
     cfg: PmuConfig,
     dir: PimDirectory,
     mon: LocalityMonitor,
-    txns: HashMap<ReqId, PeiTxn>,
+    txns: FastMap<ReqId, PeiTxn>,
     outstanding_writers: u64,
     fence_waiters: Vec<CoreId>,
     /// Reusable buffer for directory grants (cleared after each release).
@@ -312,7 +311,7 @@ impl Pmu {
         Pmu {
             dir: PimDirectory::new(cfg.dir_entries, cfg.ideal_dir),
             mon,
-            txns: HashMap::new(),
+            txns: FastMap::default(),
             outstanding_writers: 0,
             fence_waiters: Vec::new(),
             grant_scratch: Vec::new(),
@@ -619,7 +618,7 @@ impl pei_types::snap::SnapshotState for Pmu {
         self.dir.load(d)?;
         self.mon.load(d)?;
         let n = d.seq(21)?;
-        self.txns = HashMap::with_capacity(n);
+        self.txns = FastMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let id = ReqId(d.u64()?);
             let core = CoreId(d.u16()?);

@@ -4,10 +4,10 @@
 
 use pei_core::ops::apply;
 use pei_core::{AcquireResult, PimDirectory};
+use pei_engine::{FastMap, FastSet};
 use pei_mem::BackingStore;
 use pei_types::{BlockAddr, OperandValue, PimOpKind, ReqId};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum DirOp {
@@ -32,11 +32,11 @@ proptest! {
         let mut dir = PimDirectory::new(16, ideal);
         let mut next_id = 0u64;
         // Held locks: id -> (block, writer)
-        let mut held: HashMap<ReqId, (u64, bool)> = HashMap::new();
+        let mut held: FastMap<ReqId, (u64, bool)> = FastMap::default();
         let mut queued: Vec<(ReqId, u64, bool)> = Vec::new();
         let mut fifo: Vec<ReqId> = Vec::new();
 
-        let check = |held: &HashMap<ReqId, (u64, bool)>| {
+        let check = |held: &FastMap<ReqId, (u64, bool)>| {
             for (&id, &(b, w)) in held {
                 for (&id2, &(b2, w2)) in held {
                     if id != id2 && b == b2 {
@@ -146,7 +146,7 @@ proptest! {
         // Full-tag (ideal) mode: partial-tag aliases are the documented
         // exception in real mode.
         let mut mon = pei_core::LocalityMonitor::new(16, 4, 10, true);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FastSet::default();
         for &b in &touched {
             mon.on_l3_access(BlockAddr(b));
             seen.insert(b);

@@ -9,10 +9,10 @@
 
 use crate::tlb::{PageMap, Tlb, PAGE_SHIFT};
 use crate::trace::Op;
-use pei_engine::{CounterId, Counters, Outbox};
+use pei_engine::{CounterId, Counters, FastSet, Outbox};
 use pei_types::mem::ns;
 use pei_types::{Addr, CoreId, Cycle, OperandValue, PimOpKind, ReqId};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Core microarchitectural parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,10 +110,10 @@ pub struct Core {
     id: CoreId,
     cfg: CoreConfig,
     ops: VecDeque<Op>,
-    mem_outstanding: HashSet<ReqId>,
+    mem_outstanding: FastSet<ReqId>,
     next_mem_local: u64,
     pei_next_seq: u64,
-    pei_outstanding: HashSet<u64>,
+    pei_outstanding: FastSet<u64>,
     pei_credits_in_use: usize,
     fence_wait: bool,
     parked: bool,
@@ -158,10 +158,10 @@ impl Core {
             id,
             cfg,
             ops: VecDeque::new(),
-            mem_outstanding: HashSet::new(),
+            mem_outstanding: FastSet::default(),
             next_mem_local: 0,
             pei_next_seq: 0,
-            pei_outstanding: HashSet::new(),
+            pei_outstanding: FastSet::default(),
             pei_credits_in_use: 0,
             fence_wait: false,
             parked: false,

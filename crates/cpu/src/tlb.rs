@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn shuffled_map_is_bijective_on_a_window() {
         let map = PageMap::Shuffled { seed: 42 };
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = pei_engine::FastSet::default();
         for vpn in 0..100_000u64 {
             assert!(
                 seen.insert(map.translate_page(vpn)),

@@ -29,6 +29,7 @@ pub mod barrier;
 pub mod channel;
 pub mod clock;
 pub mod counters;
+pub mod fxhash;
 pub mod intern;
 pub mod outbox;
 pub mod queue;
@@ -39,6 +40,7 @@ pub use barrier::EpochBarrier;
 pub use channel::{BwChannel, Occupancy, OccupancyPool};
 pub use clock::ClockDomain;
 pub use counters::{CounterId, Counters};
+pub use fxhash::{FastMap, FastSet, FxHasher};
 pub use intern::intern_label;
 pub use outbox::Outbox;
 pub use queue::EventQueue;

@@ -6,8 +6,8 @@
 //! bytes, which is what lets integration tests check that PEI execution
 //! produces bit-identical results to a sequential reference run.
 
+use pei_engine::FastMap;
 use pei_types::{Addr, BlockAddr, BLOCK_BYTES};
-use std::collections::HashMap;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
@@ -27,7 +27,7 @@ const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct BackingStore {
-    pages: HashMap<u64, Box<[u8; PAGE_BYTES]>>,
+    pages: FastMap<u64, Box<[u8; PAGE_BYTES]>>,
     brk: u64,
 }
 
@@ -42,7 +42,7 @@ impl BackingStore {
     /// experiments give each co-running workload a disjoint heap).
     pub fn with_base(base: u64) -> Self {
         BackingStore {
-            pages: HashMap::new(),
+            pages: FastMap::default(),
             brk: base,
         }
     }
@@ -167,6 +167,53 @@ impl BackingStore {
         self.write_u32(addr, v.to_bits());
     }
 
+    /// Writes `vals` as consecutive little-endian `u32`s from `addr`, with
+    /// one page lookup per page instead of one per value.
+    pub fn write_u32s(&mut self, addr: Addr, vals: &[u32]) {
+        self.write_le(addr, vals, |v| v.to_le_bytes());
+    }
+
+    /// Writes `vals` as consecutive little-endian `u64`s from `addr`.
+    pub fn write_u64s(&mut self, addr: Addr, vals: &[u64]) {
+        self.write_le(addr, vals, |v| v.to_le_bytes());
+    }
+
+    /// Writes `vals` as consecutive `f32`s from `addr`.
+    pub fn write_f32s(&mut self, addr: Addr, vals: &[f32]) {
+        self.write_le(addr, vals, |v| v.to_le_bytes());
+    }
+
+    /// Writes `vals` as consecutive `f64`s from `addr`.
+    pub fn write_f64s(&mut self, addr: Addr, vals: &[f64]) {
+        self.write_le(addr, vals, |v| v.to_le_bytes());
+    }
+
+    fn write_le<T: Copy, const N: usize>(
+        &mut self,
+        addr: Addr,
+        mut vals: &[T],
+        le: impl Fn(T) -> [u8; N],
+    ) {
+        let mut a = addr.0;
+        while let Some(&first) = vals.first() {
+            let off = (a & (PAGE_BYTES as u64 - 1)) as usize;
+            let fit = ((PAGE_BYTES - off) / N).min(vals.len());
+            if fit == 0 {
+                // The value straddles a page boundary.
+                self.write_bytes(Addr(a), &le(first));
+                vals = &vals[1..];
+                a += N as u64;
+                continue;
+            }
+            let page = &mut self.page_mut(a)[off..off + fit * N];
+            for (dst, &v) in page.chunks_exact_mut(N).zip(&vals[..fit]) {
+                dst.copy_from_slice(&le(v));
+            }
+            vals = &vals[fit..];
+            a += (fit * N) as u64;
+        }
+    }
+
     /// Copies out one whole cache block.
     pub fn read_block(&self, block: BlockAddr) -> [u8; BLOCK_BYTES] {
         let mut b = [0u8; BLOCK_BYTES];
@@ -221,7 +268,7 @@ impl BackingStore {
         let brk = u64::from_le_bytes(b8);
         r.read_exact(&mut b8)?;
         let n = u64::from_le_bytes(b8);
-        let mut pages = HashMap::new();
+        let mut pages = FastMap::default();
         for _ in 0..n {
             r.read_exact(&mut b8)?;
             let page = u64::from_le_bytes(b8);

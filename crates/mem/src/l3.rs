@@ -14,9 +14,9 @@ use crate::msg::{
     Grant, L3Req, L3ReqKind, L3Resp, MemFetch, MemFetchDone, PimFlush, PimFlushDone, Recall,
     RecallAck, RecallOp,
 };
-use pei_engine::{CounterId, Counters, Occupancy, Outbox, StatsReport};
+use pei_engine::{CounterId, Counters, FastMap, Occupancy, Outbox, StatsReport};
 use pei_types::{BlockAddr, Cycle, L3BankId, ReqId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Inputs an L3 bank can receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +143,7 @@ struct Txn {
 pub struct L3Bank {
     id: L3BankId,
     array: CacheArray,
-    txns: HashMap<BlockAddr, Txn>,
+    txns: FastMap<BlockAddr, Txn>,
     txn_cap: usize,
     overflow: VecDeque<L3In>,
     port: Occupancy,
@@ -189,7 +189,7 @@ impl L3Bank {
         L3Bank {
             id,
             array: CacheArray::with_shift(cfg.l3_sets_per_bank(), cfg.l3.ways, cfg.l3_bank_bits()),
-            txns: HashMap::new(),
+            txns: FastMap::default(),
             txn_cap: cfg.l3_mshrs,
             overflow: VecDeque::new(),
             port: Occupancy::new(),

@@ -6,8 +6,8 @@
 //! per private cache).
 
 use crate::msg::L3ReqKind;
+use pei_engine::FastMap;
 use pei_types::{BlockAddr, ReqId};
-use std::collections::HashMap;
 
 /// A request merged into an MSHR entry, waiting for the fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +53,7 @@ impl MshrEntry {
 /// ```
 #[derive(Debug, Default)]
 pub struct MshrFile {
-    entries: HashMap<BlockAddr, MshrEntry>,
+    entries: FastMap<BlockAddr, MshrEntry>,
     capacity: usize,
     peak: usize,
     merges: u64,
@@ -68,7 +68,7 @@ impl MshrFile {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR capacity must be nonzero");
         MshrFile {
-            entries: HashMap::new(),
+            entries: FastMap::default(),
             capacity,
             peak: 0,
             merges: 0,

@@ -4,7 +4,7 @@
 use pei_mem::{BackingStore, CacheArray, LineState};
 use pei_types::{Addr, BlockAddr};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone)]
 enum CacheOp {
@@ -31,7 +31,7 @@ proptest! {
     #[test]
     fn cache_array_is_consistent(ops in proptest::collection::vec(cache_op(), 1..200)) {
         let mut c = CacheArray::new(4, 2);
-        let mut present: std::collections::HashSet<u64> = Default::default();
+        let mut present: BTreeSet<u64> = BTreeSet::new();
         for op in ops {
             match op {
                 CacheOp::Insert(b) => {
@@ -85,18 +85,15 @@ proptest! {
         )
     ) {
         let mut store = BackingStore::new();
-        let mut oracle: HashMap<u64, u8> = HashMap::new();
+        let mut oracle = vec![0u8; 16384 + 128];
         for (off, data) in &writes {
             store.write_bytes(Addr(0x2000_0000 + off), data);
-            for (i, b) in data.iter().enumerate() {
-                oracle.insert(off + i as u64, *b);
-            }
+            let at = *off as usize;
+            oracle[at..at + data.len()].copy_from_slice(data);
         }
         let mut buf = vec![0u8; 16384 + 128];
         store.read_bytes(Addr(0x2000_0000), &mut buf);
-        for (i, b) in buf.iter().enumerate() {
-            prop_assert_eq!(*b, oracle.get(&(i as u64)).copied().unwrap_or(0));
-        }
+        prop_assert_eq!(buf, oracle);
     }
 
     /// Scalar accessors agree with byte-level writes (endianness).
@@ -110,4 +107,57 @@ proptest! {
         prop_assert_eq!(u64::from_le_bytes(bytes), v);
         prop_assert_eq!(store.read_u32(a) as u64, v & 0xffff_ffff);
     }
+
+    /// The page-chunked slice writers store the same bytes, and
+    /// materialize the same pages, as one scalar write per element, from
+    /// any start offset: unaligned, page-straddling, and multi-page runs.
+    #[test]
+    fn slice_writers_match_scalar_writes(
+        off in 0u64..8192,
+        words in proptest::collection::vec(any::<u64>(), 0..1100),
+    ) {
+        let at = Addr(0x2000_0000 + off);
+        let bytes = words.len() * 8;
+        let narrow: Vec<u32> = words.iter().map(|&w| w as u32).collect();
+        let singles: Vec<f32> = narrow.iter().map(|&w| f32::from_bits(w)).collect();
+        let doubles: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
+
+        let (mut bulk, mut each) = (BackingStore::new(), BackingStore::new());
+        bulk.write_u64s(at, &words);
+        for (i, &w) in words.iter().enumerate() {
+            each.write_u64(at.offset(i as u64 * 8), w);
+        }
+        prop_assert!(same_bytes(&bulk, &each, at, bytes));
+
+        let (mut bulk, mut each) = (BackingStore::new(), BackingStore::new());
+        bulk.write_f64s(at, &doubles);
+        for (i, &w) in doubles.iter().enumerate() {
+            each.write_f64(at.offset(i as u64 * 8), w);
+        }
+        prop_assert!(same_bytes(&bulk, &each, at, bytes));
+
+        let (mut bulk, mut each) = (BackingStore::new(), BackingStore::new());
+        bulk.write_u32s(at, &narrow);
+        for (i, &w) in narrow.iter().enumerate() {
+            each.write_u32(at.offset(i as u64 * 4), w);
+        }
+        prop_assert!(same_bytes(&bulk, &each, at, bytes / 2));
+
+        let (mut bulk, mut each) = (BackingStore::new(), BackingStore::new());
+        bulk.write_f32s(at, &singles);
+        for (i, &w) in singles.iter().enumerate() {
+            each.write_f32(at.offset(i as u64 * 4), w);
+        }
+        prop_assert!(same_bytes(&bulk, &each, at, bytes / 2));
+    }
+}
+
+/// Whether `a` and `b` hold the same bytes around `[at, at + len)` and
+/// have materialized the same number of pages.
+fn same_bytes(a: &BackingStore, b: &BackingStore, at: Addr, len: usize) -> bool {
+    let from = Addr(at.0 - 16);
+    let (mut x, mut y) = (vec![0u8; len + 32], vec![0u8; len + 32]);
+    a.read_bytes(from, &mut x);
+    b.read_bytes(from, &mut y);
+    x == y && a.resident_pages() == b.resident_pages()
 }

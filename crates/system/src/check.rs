@@ -38,10 +38,9 @@
 //! proves each checker actually fires and the watchdog names the
 //! culprit component.
 
-use pei_engine::SimRng;
+use pei_engine::{FastMap, SimRng};
 use pei_trace::{StreamSink, Trace, TraceSink};
 use pei_types::{BlockAddr, Cycle};
-use std::collections::HashMap;
 
 use crate::system::System;
 
@@ -358,9 +357,9 @@ pub(crate) struct CheckState {
     /// `(cache index, block)` → cycle first observed outstanding.
     /// `pub(crate)` so snapshot/restore can carry it across a pause
     /// (a resumed checked run must age MSHR entries identically).
-    pub(crate) mshr_seen: HashMap<(usize, u64), Cycle>,
+    pub(crate) mshr_seen: FastMap<(usize, u64), Cycle>,
     /// Scratch for the MESI sweep, keyed by block.
-    mesi_scratch: HashMap<u64, MesiEntry>,
+    mesi_scratch: FastMap<u64, MesiEntry>,
 }
 
 /// Per-block scratch for the MESI single-writer pass.
@@ -376,8 +375,8 @@ impl CheckState {
         CheckState {
             cfg,
             next_sweep: cfg.interval,
-            mshr_seen: HashMap::new(),
-            mesi_scratch: HashMap::new(),
+            mshr_seen: FastMap::default(),
+            mesi_scratch: FastMap::default(),
         }
     }
 

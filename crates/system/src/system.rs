@@ -514,7 +514,7 @@ impl System {
                     .collect();
                 // Threads beyond the phase's vector count are immediately
                 // drained; mark them.
-                let active: std::collections::HashSet<usize> =
+                let active: pei_engine::FastSet<usize> =
                     assignments.iter().map(|(c, _)| *c).collect();
                 let spare: Vec<usize> = group
                     .cores

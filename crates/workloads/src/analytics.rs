@@ -83,14 +83,16 @@ impl HashJoin {
         let mut store = BackingStore::with_base(params.heap_base);
         let bucket_base = store.alloc((buckets.len() * BLOCK_BYTES) as u64, 64);
         for (i, b) in buckets.iter().enumerate() {
-            let base = bucket_base.offset((i * BLOCK_BYTES) as u64);
-            for (s, &k) in b.keys.iter().enumerate() {
-                store.write_u64(base.offset(s as u64 * 8), k);
+            let mut block = [0u8; BLOCK_BYTES];
+            for (dst, k) in block.chunks_exact_mut(8).zip(b.keys) {
+                dst.copy_from_slice(&k.to_le_bytes());
             }
             let next_addr = b
                 .next
                 .map_or(0, |nb| bucket_base.offset(nb as u64 * BLOCK_BYTES as u64).0);
-            store.write_u64(base.offset(NEXT_OFFSET), next_addr);
+            let next = NEXT_OFFSET as usize;
+            block[next..next + 8].copy_from_slice(&next_addr.to_le_bytes());
+            store.write_bytes(bucket_base.offset((i * BLOCK_BYTES) as u64), &block);
         }
         // Probe stream: half hits, half misses, shuffled.
         let n_probes = (params.pei_budget.min(4_000_000) as usize).max(64);
@@ -272,9 +274,7 @@ impl HistogramW {
         let data: Vec<u32> = (0..n_ints).map(|_| rng.gen()).collect();
         let mut store = BackingStore::with_base(params.heap_base);
         let data_base = store.alloc(n_ints as u64 * 4, 64);
-        for (i, &v) in data.iter().enumerate() {
-            store.write_u32(data_base.offset(i as u64 * 4), v);
-        }
+        store.write_u32s(data_base, &data);
         let hist_base = store.alloc(256 * 8, 64);
         let out_base = partition.then(|| store.alloc(n_ints as u64 * 4, 64));
         let shift = 24u8; // top byte of each word selects the bin

@@ -51,39 +51,84 @@ impl Graph {
     ///
     /// Panics if `n == 0`.
     pub fn power_law(n: usize, avg_deg: usize, seed: u64) -> Graph {
-        assert!(n > 0, "graph must have vertices");
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Random permutation: vertex popularity rank -> vertex id.
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        for i in (1..n).rev() {
-            let j = rng.gen_range(0..=i);
-            perm.swap(i, j);
-        }
+        let (perm, mut rng) = popularity(n, seed);
         let m = n * avg_deg;
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
+        // Two passes over one edge stream build the CSR arrays directly,
+        // with no (src, dst) list of twice `adj`'s size: the first counts
+        // each source's edges, the second drops each destination into
+        // its source's row.
+        let stream = rng.clone();
+        let mut next = vec![0u32; n + 1];
         for _ in 0..m {
-            let src = rng.gen_range(0..n as u32);
-            // u^3 concentrates mass on low ranks: P(rank r) ~ r^(-2/3)
-            // tail, a recognizable power law.
-            let u: f64 = rng.gen_range(0.0f64..1.0);
-            let rank = ((u * u * u) * n as f64) as usize;
-            let dst = perm[rank.min(n - 1)];
-            if src != dst {
-                edges.push((src, dst));
+            if let Some((s, _)) = sample_edge(&mut rng, &perm) {
+                next[s as usize + 1] += 1;
             }
         }
-        edges.sort_unstable();
-        edges.dedup();
-        let mut xadj = vec![0u32; n + 1];
-        for &(s, _) in &edges {
-            xadj[s as usize + 1] += 1;
-        }
         for i in 0..n {
-            xadj[i + 1] += xadj[i];
+            next[i + 1] += next[i];
         }
-        let adj = edges.into_iter().map(|(_, d)| d).collect();
+        let mut adj = vec![0u32; next[n] as usize];
+        let mut rng = stream;
+        for _ in 0..m {
+            if let Some((s, d)) = sample_edge(&mut rng, &perm) {
+                adj[next[s as usize] as usize] = d;
+                next[s as usize] += 1;
+            }
+        }
+        // `next[v]` is now where row `v` ends. Sort and dedup each row,
+        // compacting `adj` towards the front.
+        let mut xadj = vec![0u32; n + 1];
+        let (mut row, mut len) = (0, 0);
+        for v in 0..n {
+            let end = next[v] as usize;
+            adj[row..end].sort_unstable();
+            let mut last = None;
+            for i in row..end {
+                let d = adj[i];
+                if last != Some(d) {
+                    last = Some(d);
+                    adj[len] = d;
+                    len += 1;
+                }
+            }
+            xadj[v + 1] = len as u32;
+            row = end;
+        }
+        adj.truncate(len);
+        // Every cached graph keeps `adj` resident; drop the duplicates'
+        // slack.
+        adj.shrink_to_fit();
         Graph { n, xadj, adj }
     }
+}
+
+/// The generator's random vertex permutation (popularity rank → vertex
+/// id), and its RNG positioned at the start of the edge stream.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+fn popularity(n: usize, seed: u64) -> (Vec<u32>, StdRng) {
+    assert!(n > 0, "graph must have vertices");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        let j = rng.gen_range(0..=i);
+        perm.swap(i, j);
+    }
+    (perm, rng)
+}
+
+/// The next candidate edge of the stream: `None` for a self-loop.
+fn sample_edge(rng: &mut StdRng, perm: &[u32]) -> Option<(u32, u32)> {
+    let n = perm.len();
+    let src = rng.gen_range(0..n as u32);
+    // u^3 concentrates mass on low ranks: P(rank r) ~ r^(-2/3)
+    // tail, a recognizable power law.
+    let u: f64 = rng.gen_range(0.0f64..1.0);
+    let rank = ((u * u * u) * n as f64) as usize;
+    let dst = perm[rank.min(n - 1)];
+    (src != dst).then_some((src, dst))
 }
 
 /// Addresses of a graph's data structures in simulated memory: the CSR
@@ -171,6 +216,36 @@ mod tests {
         assert_eq!(a.xadj, b.xadj);
         let c = Graph::power_law(500, 6, 10);
         assert_ne!(a.adj, c.adj);
+    }
+
+    #[test]
+    fn adj_is_exact_size() {
+        let g = Graph::power_law(5000, 8, 11);
+        assert_eq!(g.adj.capacity(), g.adj.len());
+    }
+
+    /// The two-pass build gives exactly the graph of collecting the edge
+    /// stream, sorting it and dropping duplicates.
+    #[test]
+    fn matches_sorted_edge_list_reference() {
+        for (n, avg_deg, seed) in [(1, 4, 0), (300, 3, 5), (20_000, 10, 24301)] {
+            let (perm, mut rng) = popularity(n, seed);
+            let mut edges: Vec<(u32, u32)> = (0..n * avg_deg)
+                .filter_map(|_| sample_edge(&mut rng, &perm))
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            let mut xadj = vec![0u32; n + 1];
+            for &(s, _) in &edges {
+                xadj[s as usize + 1] += 1;
+            }
+            for i in 0..n {
+                xadj[i + 1] += xadj[i];
+            }
+            let adj: Vec<u32> = edges.iter().map(|&(_, d)| d).collect();
+            let g = Graph::power_law(n, avg_deg, seed);
+            assert_eq!((g.xadj, g.adj), (xadj, adj), "n = {n}");
+        }
     }
 
     #[test]

@@ -239,14 +239,13 @@ impl Pagerank {
         let n = g.n;
         let init = 1.0 / n as f64;
         let base = 0.15 / n as f64;
-        for v in 0..n {
-            store.write_f64(layout.field_addr(Self::FIELD_NEXT, v), base);
-        }
+        let next_pagerank = vec![base; n];
+        store.write_f64s(layout.field_addr(Self::FIELD_NEXT, 0), &next_pagerank);
         let pr = Pagerank {
             g,
             layout,
             pagerank: vec![init; n],
-            next_pagerank: vec![base; n],
+            next_pagerank,
             threads: params.threads,
             chunker: Chunker::new(n, params.threads),
             stage: PrStage::Update,
@@ -427,9 +426,7 @@ impl FrontierMin {
         let n = g.n;
         let mut dist = vec![u64::MAX; n];
         dist[src] = 0;
-        for (v, d) in dist.iter().enumerate() {
-            store.write_u64(layout.field_addr(Self::FIELD_DIST, v), *d);
-        }
+        store.write_u64s(layout.field_addr(Self::FIELD_DIST, 0), &dist);
         let k = FrontierMin {
             g,
             layout,
@@ -578,9 +575,7 @@ impl Wcc {
         let layout = GraphLayout::alloc(&mut store, &g, 1);
         let n = g.n;
         let label: Vec<u64> = (0..n as u64).collect();
-        for (v, l) in label.iter().enumerate() {
-            store.write_u64(layout.field_addr(Self::FIELD_LABEL, v), *l);
-        }
+        store.write_u64s(layout.field_addr(Self::FIELD_LABEL, 0), &label);
         let w = Wcc {
             g,
             layout,

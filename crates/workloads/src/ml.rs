@@ -44,14 +44,15 @@ impl StreamCluster {
         let mut store = BackingStore::with_base(params.heap_base);
         let points_base = store.alloc((n_points * BLOCK_BYTES) as u64, 64);
         let mut points = Vec::with_capacity(n_points);
-        for p in 0..n_points {
+        for _ in 0..n_points {
             let mut pt = [0f32; 16];
-            for (d, x) in pt.iter_mut().enumerate() {
+            for x in &mut pt {
                 *x = rng.gen_range(-10.0f32..10.0);
-                store.write_f32(points_base.offset((p * BLOCK_BYTES + d * 4) as u64), *x);
             }
             points.push(pt);
         }
+        // A point fills its block exactly, so the points are one run.
+        store.write_f32s(points_base, points.as_flattened());
         let centers = (0..Self::CENTERS)
             .map(|_| {
                 let mut c = [0f32; 16];
@@ -191,15 +192,13 @@ impl SvmRfe {
         let mut x = Vec::with_capacity(n_instances);
         for i in 0..n_instances {
             let mut inst = Vec::with_capacity(dims);
-            for d in 0..dims {
-                let v: f64 = rng.gen_range(-1.0..1.0);
-                inst.push(v);
-                let blk = d / 4;
-                let off = (d % 4) * 8;
-                store.write_f64(
-                    x_base.offset(((i * blocks_per_instance + blk) * BLOCK_BYTES + off) as u64),
-                    v,
-                );
+            for _ in 0..dims {
+                inst.push(rng.gen_range(-1.0..1.0));
+            }
+            // Four values per block; the block's other half stays zero.
+            for (blk, chunk) in inst.chunks_exact(4).enumerate() {
+                let at = (i * blocks_per_instance + blk) * BLOCK_BYTES;
+                store.write_f64s(x_base.offset(at as u64), chunk);
             }
             x.push(inst);
         }
