@@ -38,14 +38,6 @@
 //! sharded schedule is a different valid event ordering than the
 //! sequential engine's, so compare sharded records against sharded
 //! baselines. `--paper` selects the paper-scale machine.
-//!
-//! `--fork-bench` measures warm-state forking instead of the per-cell
-//! mix: a four-policy × three-workload grid is run twice — once cold
-//! (every cell replays its warmup prefix) and once with snapshot
-//! forking (`pei_bench::runner::run_specs_forked`, DESIGN.md §11) —
-//! and the record's two rows carry the whole-grid wall-clock pair
-//! (EXPERIMENTS.md §"Warm-fork speedup"). The two grids' simulated
-//! results are asserted identical before anything is recorded.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -85,7 +77,6 @@ struct Args {
     append: bool,
     traced: bool,
     checked: bool,
-    fork_bench: bool,
 }
 
 fn parse_args() -> Args {
@@ -99,7 +90,6 @@ fn parse_args() -> Args {
     let mut append = false;
     let mut traced = false;
     let mut checked = false;
-    let mut fork_bench = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -131,7 +121,6 @@ fn parse_args() -> Args {
             "--append" => append = true,
             "--traced" => traced = true,
             "--checked" => checked = true,
-            "--fork-bench" => fork_bench = true,
             "--paper" => opts.paper_machine = true,
             "--shards" => {
                 let n: usize = args
@@ -143,7 +132,7 @@ fn parse_args() -> Args {
                 opts.shards = Some(n);
             }
             other => panic!(
-                "unknown argument `{other}` (--scale, --paper, --seed, --repeat, --label, --out, --append, --traced, --checked, --shards, --fork-bench)"
+                "unknown argument `{other}` (--scale, --paper, --seed, --repeat, --label, --out, --append, --traced, --checked, --shards)"
             ),
         }
     }
@@ -155,7 +144,6 @@ fn parse_args() -> Args {
         append,
         traced,
         checked,
-        fork_bench,
     }
 }
 
@@ -165,9 +153,6 @@ struct Measured {
     events: u64,
     sim_cycles: u64,
     wall_s: f64,
-    /// Fork-cache accounting of this row's grid (`--fork-bench` only):
-    /// records *why* the wall-clock pair did or didn't show a speedup.
-    fork: Option<pei_bench::runner::ForkStats>,
 }
 
 fn record_json(args: &Args, runs: &[Measured]) -> String {
@@ -191,19 +176,9 @@ fn record_json(args: &Args, runs: &[Measured]) -> String {
         ev_tot += r.events;
         cy_tot += r.sim_cycles;
         wall_tot += r.wall_s;
-        let fork = match &r.fork {
-            None => String::new(),
-            Some(f) => format!(
-                ", \"fork_hit_rate\": {:.3}, \"fork_hits\": {}, \"fork_misses\": {}, \"fork_bypasses\": {}",
-                f.hit_rate(),
-                f.hits,
-                f.misses,
-                f.bypasses
-            ),
-        };
         let _ = write!(
             s,
-            "{}\n      {{\"workload\": \"{}\", \"policy\": \"{}\", \"events\": {}, \"sim_cycles\": {}, \"wall_s\": {:.3}, \"events_per_s\": {:.0}, \"sim_cycles_per_s\": {:.0}{fork}}}",
+            "{}\n      {{\"workload\": \"{}\", \"policy\": \"{}\", \"events\": {}, \"sim_cycles\": {}, \"wall_s\": {:.3}, \"events_per_s\": {:.0}, \"sim_cycles_per_s\": {:.0}}}",
             if i == 0 { "" } else { "," },
             r.workload,
             r.policy,
@@ -223,83 +198,7 @@ fn record_json(args: &Args, runs: &[Measured]) -> String {
     s
 }
 
-/// The `--fork-bench` grid: every workload of the mix under all four
-/// policies, so each workload contributes two fork groups (host/pim and
-/// the two locality-aware policies) of two cells each.
-fn fork_bench_specs(args: &Args) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
-    for w in [Workload::Atf, Workload::Hj, Workload::Sc] {
-        for policy in [
-            DispatchPolicy::HostOnly,
-            DispatchPolicy::PimOnly,
-            DispatchPolicy::LocalityAware,
-            DispatchPolicy::LocalityAwareBalanced,
-        ] {
-            let mut spec = RunSpec::sized(
-                args.opts.machine(policy),
-                args.opts.workload_params(),
-                w,
-                InputSize::Medium,
-            );
-            spec.check = args.checked;
-            specs.push(spec);
-        }
-    }
-    specs
-}
-
-/// Times the fork-bench grid cold and forked, asserts the two result
-/// sets identical, and returns one row per mode with whole-grid totals.
-fn run_fork_bench(args: &Args) -> Vec<Measured> {
-    assert!(
-        args.opts.shards.is_none() && !args.traced,
-        "--fork-bench measures the plain sequential runner (no --shards/--traced)"
-    );
-    let specs = fork_bench_specs(args);
-    let mut rows = Vec::new();
-    let mut reference: Option<Vec<pei_system::RunResult>> = None;
-    // ForkPolicy::always() for the forked grid: the bench exists to
-    // time the fork machinery itself, so the auto-bypass threshold
-    // (which would skip forking at these prefix lengths) is overridden
-    // — the recorded hit rate then says how much sharing happened.
-    for (mode, policy) in [
-        ("cold-grid", pei_bench::runner::ForkPolicy::disabled()),
-        ("forked-grid", pei_bench::runner::ForkPolicy::always()),
-    ] {
-        let mut wall_s = f64::INFINITY;
-        let mut measured: Option<(Vec<pei_system::RunResult>, _)> = None;
-        for _ in 0..args.repeat {
-            let t0 = Instant::now();
-            let r = pei_bench::runner::run_specs_forked_with(&specs, 1, policy);
-            wall_s = wall_s.min(t0.elapsed().as_secs_f64().max(1e-9));
-            measured = Some(r);
-        }
-        let (results, fork_stats) = measured.expect("repeat >= 1");
-        match &reference {
-            None => reference = Some(results.clone()),
-            Some(cold) => {
-                for (c, f) in cold.iter().zip(&results) {
-                    assert_eq!(c.cycles, f.cycles, "forked grid diverged from cold grid");
-                    assert_eq!(c.stats, f.stats, "forked grid diverged from cold grid");
-                }
-            }
-        }
-        let (events, sim_cycles) = results.iter().fold((0u64, 0u64), |(e, c), r| {
-            (e + r.stats.expect("sim.events") as u64, c + r.cycles)
-        });
-        rows.push(Measured {
-            workload: "atf+hj+sc x4pol",
-            policy: mode,
-            events,
-            sim_cycles,
-            wall_s,
-            fork: Some(fork_stats),
-        });
-    }
-    rows
-}
-
-/// Prints the header line shared by both tables.
+/// Prints the table header.
 fn print_header() {
     println!(
         "{:<16} {:>15} {:>12} {:>12} {:>9} {:>12} {:>14}",
@@ -344,20 +243,6 @@ fn write_record(args: &Args, runs: &[Measured]) {
 
 fn main() {
     let args = parse_args();
-    if args.fork_bench {
-        let runs = run_fork_bench(&args);
-        print_header();
-        for m in &runs {
-            print_row(m);
-        }
-        let speedup = runs[0].wall_s / runs[1].wall_s;
-        println!(
-            "fork speedup: {speedup:.2}x (cold {:.3}s / forked {:.3}s)",
-            runs[0].wall_s, runs[1].wall_s
-        );
-        write_record(&args, &runs);
-        return;
-    }
     let mut runs = Vec::new();
     print_header();
     for (w, policy) in MIX {
@@ -392,7 +277,6 @@ fn main() {
             events,
             sim_cycles: res.cycles,
             wall_s,
-            fork: None,
         };
         print_row(&m);
         runs.push(m);

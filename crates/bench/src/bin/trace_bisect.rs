@@ -21,6 +21,7 @@
 
 use pei_bench::bisect::{bisect, BisectOutcome};
 use pei_bench::runner::RunSpec;
+use pei_bench::tracecap::parse_policy_short;
 use pei_bench::{ExpOptions, Scale};
 use pei_core::DispatchPolicy;
 use pei_workloads::{InputSize, Workload};
@@ -119,13 +120,7 @@ fn apply_overrides(cli: &Cli, overrides: &str) -> Result<RunSpec, String> {
             .ok_or_else(|| format!("bad override `{kv}` (expected KEY=V)"))?;
         match k {
             "policy" => {
-                policy = match v {
-                    "host" => DispatchPolicy::HostOnly,
-                    "pim" => DispatchPolicy::PimOnly,
-                    "la" => DispatchPolicy::LocalityAware,
-                    "bd" => DispatchPolicy::LocalityAwareBalanced,
-                    other => return Err(format!("unknown policy `{other}`")),
-                };
+                policy = parse_policy_short(v).ok_or_else(|| format!("unknown policy `{v}`"))?;
             }
             "budget" => params.pei_budget = v.parse().map_err(|e| format!("bad budget: {e}"))?,
             "seed" => params.seed = v.parse().map_err(|e| format!("bad seed: {e}"))?,

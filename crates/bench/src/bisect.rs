@@ -30,7 +30,7 @@
 //! The `trace_bisect` binary is the CLI wrapper over [`bisect`].
 
 use crate::runner::RunSpec;
-use pei_system::{CheckConfig, PauseAt, RunStatus, Snapshot};
+use pei_system::{CheckConfig, RunStatus, Snapshot};
 use pei_trace::{diff, Divergence, Recorder, Trace};
 
 /// Where two runs first differ.
@@ -99,7 +99,7 @@ fn advance(spec: &RunSpec, from: Option<&Snapshot>, to: u64, traced: bool) -> Re
     }
     let status = match spec.shards {
         Some(n) => sys.run_sharded_paused(spec.max_cycles, n, Some(to)),
-        None => sys.run_paused(spec.max_cycles, Some(PauseAt::Cycle(to))),
+        None => sys.run_paused(spec.max_cycles, Some(to)),
     };
     let at = match status {
         RunStatus::Paused { at } => at,

@@ -23,11 +23,7 @@
 //!   conservation, operand accounting, event population; see
 //!   `pei_system::check` and DESIGN.md §9), and failed cells surface
 //!   structured failure reports on stderr while sibling cells keep
-//!   running;
-//! * `--no-fork` — run every grid cell cold instead of forking a warmed
-//!   snapshot across cells that share a pre-PEI prefix (see
-//!   [`runner::run_specs_forked`] and DESIGN.md §11). Results are
-//!   byte-identical either way; forking only saves wall-clock time.
+//!   running.
 //!
 //! Binaries describe their grid as [`runner::RunSpec`]s collected into a
 //! [`runner::Batch`], run it once, and print from the ordered results.
@@ -103,12 +99,6 @@ pub struct ExpOptions {
     /// structured reports instead of panicking. Results are
     /// byte-identical to unchecked runs unless a checker fires.
     pub check: bool,
-    /// Disable warm-state forking: run every cell cold instead of
-    /// letting policy siblings share a snapshot taken at the first PEI
-    /// (see [`runner::run_specs_forked`]). Results are byte-identical
-    /// either way; this is the escape hatch for timing the warmup
-    /// itself or isolating a suspected fork bug.
-    pub no_fork: bool,
 }
 
 impl Default for ExpOptions {
@@ -123,7 +113,6 @@ impl Default for ExpOptions {
             shards: None,
             trace: None,
             check: false,
-            no_fork: false,
         }
     }
 }
@@ -180,10 +169,9 @@ impl ExpOptions {
                     opts.trace = Some(args.next().expect("--trace needs a path").into());
                 }
                 "--check" => opts.check = true,
-                "--no-fork" => opts.no_fork = true,
                 other => {
                     panic!(
-                        "unknown argument `{other}` (--scale, --paper, --seed, --jobs, --shards, --trace, --check, --no-fork)"
+                        "unknown argument `{other}` (--scale, --paper, --seed, --jobs, --shards, --trace, --check)"
                     )
                 }
             }

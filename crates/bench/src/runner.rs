@@ -51,14 +51,9 @@
 //! ```
 
 use crate::{ExpOptions, CYCLE_LIMIT};
-use pei_core::DispatchPolicy;
-use pei_system::{
-    CheckConfig, FaultPlan, MachineConfig, PauseAt, RunResult, RunStatus, Snapshot, System,
-};
+use pei_system::{CheckConfig, FaultPlan, MachineConfig, RunResult, System};
 use pei_workloads::{cache, InputSize, Workload, WorkloadParams};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The input of one simulation cell.
@@ -254,7 +249,7 @@ impl RunSpec {
 
     /// Runs a built-and-armed machine on the engine this spec selects:
     /// sequential, or sharded with `shards` threads.
-    pub(crate) fn drive(&self, sys: &mut System) -> RunResult {
+    fn drive(&self, sys: &mut System) -> RunResult {
         match self.shards {
             Some(n) => sys.run_sharded(self.max_cycles, n),
             None => sys.run(self.max_cycles),
@@ -338,11 +333,6 @@ impl Batch {
     /// checked mode for every cell, and `--shards` moves every cell
     /// onto the sharded engine. The one-line change that gives a figure
     /// binary the full sanitizer and parallel-engine surface.
-    ///
-    /// Cells that differ only in dispatch policy (within one PMU monitor
-    /// class) share a warmed snapshot instead of each replaying the
-    /// pre-PEI prefix (see [`run_specs_forked`]); `--no-fork` falls back
-    /// to cold runs. Results are identical either way.
     pub fn run_with(mut self, opts: &ExpOptions) -> Vec<RunResult> {
         for spec in &mut self.specs {
             if opts.check {
@@ -352,7 +342,7 @@ impl Batch {
                 spec.shards = opts.shards;
             }
         }
-        run_specs_forked(&self.specs, opts.jobs, !opts.no_fork)
+        run_specs(&self.specs, opts.jobs)
     }
 }
 
@@ -399,380 +389,6 @@ pub fn run_specs(specs: &[RunSpec], jobs: usize) -> Vec<RunResult> {
     };
     report_failures(specs, &results);
     results
-}
-
-/// When (and whether) the batch runner forks warmed snapshots across a
-/// fork group instead of cold-running every member.
-///
-/// PR 7 measured forking at 0.93× on quick-scale cells: the trace-driven
-/// warmup prefix is only a few thousand cycles there, so serializing and
-/// restoring the whole machine costs more than the replay it saves
-/// (EXPERIMENTS.md, "Warm-state forking"). The fix is a *prefix-cycle
-/// threshold*: after warming a group's first member to the first PEI,
-/// the runner checks how long the shared prefix actually was, and below
-/// [`min_prefix`](ForkPolicy::min_prefix) it skips the snapshot — the
-/// already-warm machine simply continues as the first member's run (no
-/// work wasted) and the remaining members run cold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ForkPolicy {
-    /// Master switch; `false` is the `--no-fork` escape hatch and
-    /// degrades to [`run_specs`] exactly.
-    pub enabled: bool,
-    /// Fork only groups whose warmup prefix reaches at least this many
-    /// cycles; shorter prefixes are cheaper to replay than to snapshot.
-    pub min_prefix: u64,
-}
-
-/// Default auto-bypass threshold, in warmup-prefix cycles.
-///
-/// Chosen from in-container measurement (EXPERIMENTS.md): today's
-/// trace-driven workloads dispatch their first PEI after only 12–27
-/// cycles at *every* input size, while one snapshot costs 0.5–32 ms
-/// (0.3–18 MB of machine state) — which is why PR 7 measured forking
-/// as a 0.93× net *slowdown*. At the engine's measured 4–7 M events/s
-/// a snapshot+restore round-trip only breaks even once the shared
-/// prefix is worth on the order of 10⁵ cycles of replay, so that is
-/// the default gate; workloads with a real pre-PEI warmup phase clear
-/// it, everything current bypasses automatically.
-pub const FORK_MIN_PREFIX_CYCLES: u64 = 100_000;
-
-impl Default for ForkPolicy {
-    fn default() -> ForkPolicy {
-        ForkPolicy {
-            enabled: true,
-            min_prefix: FORK_MIN_PREFIX_CYCLES,
-        }
-    }
-}
-
-impl ForkPolicy {
-    /// Never fork (`--no-fork`).
-    pub fn disabled() -> ForkPolicy {
-        ForkPolicy {
-            enabled: false,
-            min_prefix: 0,
-        }
-    }
-
-    /// Fork every eligible group regardless of prefix length — the
-    /// identity-pinning tests and `sim_throughput --fork-bench` use
-    /// this so the fork path is actually exercised at quick scale.
-    pub fn always() -> ForkPolicy {
-        ForkPolicy {
-            enabled: true,
-            min_prefix: 0,
-        }
-    }
-
-    fn from_flag(fork: bool) -> ForkPolicy {
-        if fork {
-            ForkPolicy::default()
-        } else {
-            ForkPolicy::disabled()
-        }
-    }
-}
-
-/// Per-cell accounting of a forked batch (and of `pei-serve`'s resident
-/// fork cache): every cell lands in exactly one of the four counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ForkStats {
-    /// Cells completed from a restored warm snapshot.
-    pub hits: u64,
-    /// Cells that executed a warmup prefix themselves (one per group
-    /// that attempted to fork; the warmed machine always finishes that
-    /// member's run itself, so a miss wastes nothing).
-    pub misses: u64,
-    /// Cells cold-run because the [`ForkPolicy::min_prefix`]
-    /// auto-bypass judged their group's prefix too short to snapshot.
-    pub bypasses: u64,
-    /// Cells that can never fork: no fork key (fault plan, sharded
-    /// engine), singleton groups, forking disabled, or nothing
-    /// shareable (the group's run completes before any PEI).
-    pub ineligible: u64,
-}
-
-impl ForkStats {
-    /// Fraction of fork-attempting cells served by a restored snapshot:
-    /// `hits / (hits + misses)`, `0.0` when nothing attempted.
-    pub fn hit_rate(&self) -> f64 {
-        let attempts = self.hits + self.misses;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.hits as f64 / attempts as f64
-        }
-    }
-}
-
-/// Internal thread-shared tally behind [`ForkStats`].
-#[derive(Default)]
-struct ForkCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    bypasses: AtomicU64,
-    ineligible: AtomicU64,
-}
-
-impl ForkCounters {
-    fn snapshot(&self) -> ForkStats {
-        ForkStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
-            ineligible: self.ineligible.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Like [`run_specs`], but with warm-state forking under the default
-/// [`ForkPolicy`]: see [`run_specs_forked_with`]. `fork == false`
-/// degrades to [`run_specs`] exactly.
-///
-/// # Panics
-///
-/// Panics if `jobs == 0`, or propagates the panic of any failed cell.
-pub fn run_specs_forked(specs: &[RunSpec], jobs: usize, fork: bool) -> Vec<RunResult> {
-    run_specs_forked_with(specs, jobs, ForkPolicy::from_flag(fork)).0
-}
-
-/// Runs `specs` with warm-state forking: cells that share everything
-/// except dispatch policy — and whose policies fall in the same PMU
-/// monitor class (`DispatchPolicy::uses_monitor`, DESIGN.md §11) — run
-/// the pre-PEI warmup prefix **once**, snapshot the machine at the
-/// first PEI ([`PauseAt::FirstPei`]), and restore that snapshot per
-/// cell instead of replaying the prefix. Until the first PEI no policy
-/// decision has been taken and the locality monitor has shadowed the
-/// same L3 traffic for every policy in the class, so the forked results
-/// are byte-identical to cold runs.
-///
-/// `policy` controls when the snapshot is worth taking: below
-/// [`ForkPolicy::min_prefix`] warmup cycles the runner bypasses the
-/// fork — the warmed machine continues as the first member's run and
-/// the rest run cold — because at that scale snapshotting is a
-/// measured net loss. Cells that cannot share (fault plans, sharded
-/// engine, singleton groups) and groups whose warmup completes the
-/// whole run or fails to snapshot fall back to cold runs per cell —
-/// forking is an optimization, never a requirement. Workers claim
-/// whole groups, so a group's snapshot lives on one worker's stack and
-/// is dropped before the next claim.
-///
-/// The returned [`ForkStats`] classify every cell (hit / miss / bypass
-/// / ineligible); `sim_throughput --fork-bench` records the hit rate so
-/// BENCH_sim_throughput.json says *why* a speedup did or didn't appear.
-///
-/// # Panics
-///
-/// Panics if `jobs == 0`, or propagates the panic of any failed cell.
-pub fn run_specs_forked_with(
-    specs: &[RunSpec],
-    jobs: usize,
-    policy: ForkPolicy,
-) -> (Vec<RunResult>, ForkStats) {
-    assert!(jobs > 0, "--jobs must be at least 1");
-    if !policy.enabled {
-        let results = run_specs(specs, jobs);
-        let stats = ForkStats {
-            ineligible: specs.len() as u64,
-            ..ForkStats::default()
-        };
-        return (results, stats);
-    }
-    // Group cells by warm prefix, preserving first-occurrence order so
-    // the schedule (and any fallback stderr output) is deterministic.
-    let mut key_to_group: HashMap<String, usize> = HashMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        match fork_key(spec) {
-            Some(key) => match key_to_group.entry(key) {
-                Entry::Occupied(e) => groups[*e.get()].push(i),
-                Entry::Vacant(e) => {
-                    e.insert(groups.len());
-                    groups.push(vec![i]);
-                }
-            },
-            None => groups.push(vec![i]),
-        }
-    }
-    let counters = ForkCounters::default();
-    let workers = jobs.min(groups.len());
-    let results: Vec<RunResult> = if workers <= 1 {
-        let mut slots: Vec<Option<RunResult>> = specs.iter().map(|_| None).collect();
-        for group in &groups {
-            for (i, result) in run_group(specs, group, policy, &counters) {
-                slots[i] = Some(result);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every spec is in exactly one group"))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<RunResult>>> = specs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(group) = groups.get(g) else { break };
-                    for (i, result) in run_group(specs, group, policy, &counters) {
-                        *slots[i].lock().unwrap() = Some(result);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("worker panicked; result slot poisoned")
-                    .expect("every spec is in exactly one group")
-            })
-            .collect()
-    };
-    report_failures(specs, &results);
-    (results, counters.snapshot())
-}
-
-/// The warm-prefix sharing key of a spec: `Some` iff the cell is
-/// eligible for forking, with two specs sharing a warmed snapshot iff
-/// their keys are equal. The key is the spec with its policy collapsed
-/// to a monitor-class representative — everything before the first PEI
-/// is policy-independent within a class, so that is exactly the state
-/// the cells may share. `pei-serve` keys its resident fork cache on
-/// this same string, so daemon jobs and batch cells share one grouping
-/// rule.
-pub fn fork_key(spec: &RunSpec) -> Option<String> {
-    if spec.fault.is_some() || spec.shards.is_some() {
-        // Faults arm at build time (snapshots refuse armed faults), and
-        // the sharded engine re-partitions per run; neither forks.
-        return None;
-    }
-    let mut cfg = spec.cfg;
-    cfg.policy = if cfg.policy.uses_monitor() {
-        DispatchPolicy::LocalityAware
-    } else {
-        DispatchPolicy::HostOnly
-    };
-    Some(format!(
-        "{cfg:?}|{:?}|{:?}|{}|{}",
-        spec.params, spec.input, spec.max_cycles, spec.check
-    ))
-}
-
-/// Outcome of executing a spec's warmup prefix ([`warm_pause`]).
-pub enum Warmup {
-    /// The run finished (or failed) before the first PEI — there is no
-    /// shareable prefix, and the result is the cell's complete result.
-    Done(Box<RunResult>),
-    /// Paused just before the first PEI at the given cycle; the machine
-    /// is quiescent and ready to snapshot or to continue.
-    Paused(Box<System>, u64),
-}
-
-/// Runs the warmup prefix of `spec` — build, arm, execute up to the
-/// first PEI — and returns the paused machine with its pause cycle, or
-/// the completed result if no PEI was ever dispatched. Callers decide
-/// whether the prefix is long enough to be worth snapshotting
-/// ([`ForkPolicy::min_prefix`]); eligibility ([`fork_key`]) is theirs
-/// to check too.
-pub fn warm_pause(spec: &RunSpec) -> Warmup {
-    let mut sys = spec.build();
-    spec.arm(&mut sys);
-    match sys.run_paused(spec.max_cycles, Some(PauseAt::FirstPei)) {
-        RunStatus::Paused { at } => Warmup::Paused(Box::new(sys), at),
-        RunStatus::Completed(r) => Warmup::Done(Box::new(r)),
-    }
-}
-
-/// Runs the warmup prefix of `spec` — build, arm, execute up to the
-/// first PEI — and snapshots the paused machine. `None` when the cell
-/// is ineligible (its fork key is `None`), when the run completes
-/// without ever issuing a PEI, or when the paused machine refuses to
-/// snapshot; callers fall back to cold runs.
-pub fn warm_snapshot(spec: &RunSpec) -> Option<Snapshot> {
-    fork_key(spec)?;
-    match warm_pause(spec) {
-        Warmup::Paused(mut sys, _) => sys.snapshot().ok(),
-        Warmup::Done(_) => None,
-    }
-}
-
-/// Finishes `spec` from a warmed snapshot: builds the cell's machine
-/// (the restore target must carry the same workload and backing store),
-/// restores `snap` over it, and runs to completion. Falls back to a
-/// cold [`RunSpec::run`] if the snapshot doesn't fit this spec.
-pub fn run_from_warm(spec: &RunSpec, snap: &Snapshot) -> RunResult {
-    let mut sys = spec.build();
-    spec.arm(&mut sys);
-    match sys.restore(snap) {
-        Ok(()) => spec.drive(&mut sys),
-        Err(_) => spec.run(),
-    }
-}
-
-/// Runs one fork group under `policy`, tallying into `counters`.
-/// Groups of two or more warm the first member's machine to the first
-/// PEI, then either snapshot-and-restore per member (prefix at or above
-/// the threshold) or bypass (below it): the warmed machine continues as
-/// the first member's own run — restoring a paused machine's state is
-/// non-perturbing, so nothing is wasted — and the remaining members run
-/// cold. Returns `(spec index, result)` pairs.
-fn run_group(
-    specs: &[RunSpec],
-    members: &[usize],
-    policy: ForkPolicy,
-    counters: &ForkCounters,
-) -> Vec<(usize, RunResult)> {
-    if members.len() >= 2 {
-        counters.misses.fetch_add(1, Ordering::Relaxed);
-        match warm_pause(&specs[members[0]]) {
-            Warmup::Paused(mut sys, at) => {
-                if at >= policy.min_prefix {
-                    if let Ok(snap) = sys.snapshot() {
-                        counters
-                            .hits
-                            .fetch_add(members.len() as u64 - 1, Ordering::Relaxed);
-                        // The snapshotted machine finishes the first
-                        // member itself; siblings restore the snapshot.
-                        let first = &specs[members[0]];
-                        let mut out = vec![(members[0], first.drive(&mut sys))];
-                        out.extend(
-                            members[1..]
-                                .iter()
-                                .map(|&i| (i, run_from_warm(&specs[i], &snap))),
-                        );
-                        return out;
-                    }
-                }
-                // Auto-bypass (prefix below the threshold) or snapshot
-                // refusal: the warm machine is the first member's run;
-                // siblings run cold.
-                counters
-                    .bypasses
-                    .fetch_add(members.len() as u64 - 1, Ordering::Relaxed);
-                let first = &specs[members[0]];
-                let mut out = vec![(members[0], first.drive(&mut sys))];
-                out.extend(members[1..].iter().map(|&i| (i, specs[i].run())));
-                return out;
-            }
-            Warmup::Done(r) => {
-                // The whole run preceded any PEI; the "warmup" result is
-                // the first member's complete result, and there is no
-                // shareable prefix for the rest.
-                counters
-                    .ineligible
-                    .fetch_add(members.len() as u64 - 1, Ordering::Relaxed);
-                let mut out = vec![(members[0], *r)];
-                out.extend(members[1..].iter().map(|&i| (i, specs[i].run())));
-                return out;
-            }
-        }
-    }
-    counters
-        .ineligible
-        .fetch_add(members.len() as u64, Ordering::Relaxed);
-    members.iter().map(|&i| (i, specs[i].run())).collect()
 }
 
 /// Prints each failed cell's spec and failure report to stderr; silent
@@ -867,9 +483,8 @@ mod tests {
         }
     }
 
-    /// A four-policy grid: both monitor classes are populated with two
-    /// policies each, so forking shares two warmed snapshots per
-    /// workload instead of running four cold prefixes.
+    /// A four-policy grid: each workload's cells share their input and
+    /// differ only in dispatch policy, two per PMU monitor class.
     fn policy_grid() -> Vec<RunSpec> {
         let opts = ExpOptions {
             seed: 7,
@@ -897,101 +512,28 @@ mod tests {
     }
 
     #[test]
-    fn forked_matches_cold_cell_for_cell() {
-        // ForkPolicy::always() so quick-scale prefixes (below the
-        // default auto-bypass threshold) still exercise the fork path.
-        let specs = policy_grid();
-        let (cold, off) = run_specs_forked_with(&specs, 1, ForkPolicy::disabled());
-        let (forked, stats) = run_specs_forked_with(&specs, 2, ForkPolicy::always());
-        assert_eq!(cold.len(), forked.len());
-        for (c, f) in cold.iter().zip(&forked) {
-            assert_eq!(c.cycles, f.cycles);
-            assert_eq!(c.instructions, f.instructions);
-            assert_eq!(c.peis, f.peis);
-            assert_eq!(c.stats, f.stats);
-        }
-        // 2 workloads × 2 monitor classes = 4 groups of 2: one warmup
-        // (miss) and one restored sibling (hit) each.
-        assert_eq!(
-            stats,
-            ForkStats {
-                hits: 4,
-                misses: 4,
-                bypasses: 0,
-                ineligible: 0
+    fn run_with_is_job_count_invariant_cell_for_cell() {
+        // The figure binaries' entry point: every cell runs cold, one
+        // claim at a time, so the worker count can't change a result.
+        let run = |jobs: usize| {
+            let mut batch = Batch::new();
+            for spec in policy_grid() {
+                batch.push(spec);
             }
-        );
-        assert_eq!(stats.hit_rate(), 0.5);
-        assert_eq!(off.ineligible, specs.len() as u64);
-        assert_eq!(off.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn auto_bypass_skips_the_snapshot_and_stays_identical() {
-        // An unreachable threshold forces the bypass path everywhere:
-        // the first member of each group continues its warmed machine,
-        // siblings run cold, and results still match cold runs exactly.
-        let specs = policy_grid();
-        let (cold, _) = run_specs_forked_with(&specs, 1, ForkPolicy::disabled());
-        let policy = ForkPolicy {
-            enabled: true,
-            min_prefix: u64::MAX,
+            batch.run_with(&ExpOptions {
+                jobs,
+                ..ExpOptions::default()
+            })
         };
-        let (bypassed, stats) = run_specs_forked_with(&specs, 2, policy);
-        for (c, b) in cold.iter().zip(&bypassed) {
-            assert_eq!(c.cycles, b.cycles);
-            assert_eq!(c.stats, b.stats);
+        let serial = run(1);
+        let parallel = run(3);
+        assert_eq!(serial.len(), parallel.len());
+        for (s, p) in serial.iter().zip(&parallel) {
+            assert_eq!(s.cycles, p.cycles);
+            assert_eq!(s.instructions, p.instructions);
+            assert_eq!(s.peis, p.peis);
+            assert_eq!(s.stats, p.stats);
         }
-        assert_eq!(
-            stats,
-            ForkStats {
-                hits: 0,
-                misses: 4,
-                bypasses: 4,
-                ineligible: 0
-            }
-        );
-    }
-
-    #[test]
-    fn default_policy_bypasses_quick_scale_prefixes() {
-        // The satellite contract: at quick scale the warmup prefix is
-        // tiny, so the *default* policy must choose bypass over the
-        // measured-0.93× snapshot path — while --no-fork stays the
-        // manual override.
-        let specs = policy_grid();
-        let (_, stats) = run_specs_forked_with(&specs, 1, ForkPolicy::default());
-        assert_eq!(stats.hits, 0, "quick-scale cells must not fork");
-        assert_eq!(stats.bypasses, 4);
-    }
-
-    #[test]
-    fn fork_keys_group_by_monitor_class() {
-        let specs = policy_grid();
-        // Per workload: HostOnly+PimOnly share one key, the two
-        // locality-aware policies share another.
-        assert_eq!(fork_key(&specs[0]), fork_key(&specs[1]));
-        assert_eq!(fork_key(&specs[2]), fork_key(&specs[3]));
-        assert_ne!(fork_key(&specs[0]), fork_key(&specs[2]));
-        assert_ne!(fork_key(&specs[0]), fork_key(&specs[4]));
-        // Faulted and sharded cells never fork.
-        let mut sharded = specs[0].clone();
-        sharded.shards = Some(2);
-        assert_eq!(fork_key(&sharded), None);
-    }
-
-    #[test]
-    fn warm_snapshot_feeds_every_policy_in_its_class() {
-        let specs = policy_grid();
-        let snap = warm_snapshot(&specs[2]).expect("warmup reaches a PEI");
-        let warm_la = run_from_warm(&specs[2], &snap);
-        let warm_lab = run_from_warm(&specs[3], &snap);
-        let cold_la = specs[2].run();
-        let cold_lab = specs[3].run();
-        assert_eq!(warm_la.stats, cold_la.stats);
-        assert_eq!(warm_lab.stats, cold_lab.stats);
-        assert_eq!(warm_la.cycles, cold_la.cycles);
-        assert_eq!(warm_lab.cycles, cold_lab.cycles);
     }
 
     #[test]

@@ -45,6 +45,19 @@ pub fn parse_policy(s: &str) -> Option<DispatchPolicy> {
     .find(|&p| policy_name(p) == s)
 }
 
+/// Parses a policy as the command-line tools name it: the short names
+/// `host|pim|la|bd` (`lab` is accepted as an alias of `bd`, which
+/// earlier daemon clients send), or the long [`policy_name`]s.
+pub fn parse_policy_short(s: &str) -> Option<DispatchPolicy> {
+    match s {
+        "host" => Some(DispatchPolicy::HostOnly),
+        "pim" => Some(DispatchPolicy::PimOnly),
+        "la" => Some(DispatchPolicy::LocalityAware),
+        "bd" | "lab" => Some(DispatchPolicy::LocalityAwareBalanced),
+        long => parse_policy(long),
+    }
+}
+
 /// Trace-metadata name of an input size.
 pub fn size_name(s: InputSize) -> &'static str {
     match s {

@@ -1,16 +1,11 @@
 //! `pei-serve`: the simulator as a long-running service (DESIGN.md §12).
 //!
-//! One-shot binaries pay the full startup bill per cell: process spawn,
-//! input-graph construction, and — when several cells share a warm
-//! prefix — the same warmup replayed once per cell. A daemon pays those
-//! costs once per *process*: the [`Daemon`] keeps the process-wide
-//! `Arc<Graph>` input cache and a resident
-//! [`ForkCache`] of warm snapshots alive
-//! across submissions, so the tenth job of a sweep starts where the
-//! first one left the machine. Residency is bounded: the snapshot cache
-//! evicts least-recently-used entries past its byte budget
-//! ([`ServeConfig::cache_bytes`]), trading warmup time for memory
-//! without ever changing a result byte.
+//! One-shot binaries pay the full startup bill per cell: process spawn
+//! and input-graph construction. A daemon pays those costs once per
+//! *process*: the [`Daemon`] keeps the process-wide `Arc<Graph>` input
+//! cache alive across submissions, so a sweep's jobs on one input
+//! generate its graph once. Every job runs cold, through
+//! [`run_bounded`].
 //!
 //! The wire protocol is newline-delimited JSON over a Unix socket, TCP,
 //! or stdio; the frame types live in [`pei_types::wire`] and the
@@ -32,8 +27,8 @@
 //!
 //! The byte-identity contract holds end to end: the `stats` text inside
 //! a `result` frame equals the one-shot binary's rendering of the same
-//! recipe, whichever cache or scheduling path served the job (pinned by
-//! this crate's tests and the CI serve-smoke job).
+//! recipe, whichever worker or scheduling path served the job (pinned
+//! by this crate's tests and the CI serve-smoke job).
 //!
 //! Every resource a client can consume is bounded, with a defined
 //! shedding order (DESIGN.md §12 "Overload semantics"): submissions
@@ -50,14 +45,13 @@
 
 pub mod chaos;
 
-use pei_bench::runner::{ForkPolicy, RunSpec};
-use pei_bench::service::{resolve_capture, resolve_recipe, ForkCache, Stopped};
+use pei_bench::runner::RunSpec;
+use pei_bench::service::{resolve_capture, resolve_recipe, run_bounded, Stopped};
 use pei_bench::tracecap::CaptureSpec;
 use pei_system::RunResult;
 use pei_trace::Recorder;
 use pei_types::wire::{
-    ForkCacheStat, Priority, Recipe, Request, Response, ResultFrame, StatsFrame, TenantStat,
-    WorkerStat,
+    Priority, Recipe, Request, Response, ResultFrame, StatsFrame, TenantStat, WorkerStat,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
@@ -65,9 +59,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Default byte budget for the resident warm-snapshot cache.
-pub const DEFAULT_CACHE_BYTES: u64 = 256 << 20;
 
 /// Default bound on queued jobs (admission control): submissions past
 /// it are rejected with a `queue-full` error frame.
@@ -101,11 +92,6 @@ pub struct ServeConfig {
     /// `progress` frame. Slicing never changes results — only where the
     /// run loop pauses.
     pub slice: u64,
-    /// Warm-fork policy for the resident snapshot cache.
-    pub fork: ForkPolicy,
-    /// Byte budget for resident warm snapshots; LRU entries are evicted
-    /// past it. `None` = unbounded (the pre-budget behavior).
-    pub cache_bytes: Option<u64>,
     /// Admission control: total queued jobs the daemon accepts.
     /// Submissions arriving with the queue at the bound get a terminal
     /// `queue-full` error frame instead of enqueueing. `None` =
@@ -128,8 +114,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 1,
             slice: 1_000_000,
-            fork: ForkPolicy::default(),
-            cache_bytes: Some(DEFAULT_CACHE_BYTES),
             max_queue: Some(DEFAULT_MAX_QUEUE),
             deadline_ms: None,
             writer_queue: DEFAULT_WRITER_QUEUE,
@@ -493,7 +477,6 @@ struct Shared {
     /// held while *acquiring* it.
     jobs: Mutex<HashMap<u64, Arc<JobCtl>>>,
     next_job: AtomicU64,
-    cache: ForkCache,
     slice: u64,
     /// Admission bound on queued jobs (`None` = unbounded).
     max_queue: Option<u64>,
@@ -521,11 +504,10 @@ struct Shared {
 }
 
 /// A running simulation service: a worker pool draining a shared job
-/// queue through the resident caches. Sessions attach via
-/// [`serve`](Daemon::serve) — any `BufRead`/`Write` pair works, so the
-/// same daemon backs a Unix socket, a TCP connection, stdio, or an
-/// in-process test harness. Dropping the daemon drains queued jobs and
-/// joins the workers.
+/// queue. Sessions attach via [`serve`](Daemon::serve) — any
+/// `BufRead`/`Write` pair works, so the same daemon backs a Unix
+/// socket, a TCP connection, stdio, or an in-process test harness.
+/// Dropping the daemon drains queued jobs and joins the workers.
 pub struct Daemon {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -549,7 +531,6 @@ impl Daemon {
             shutdown: AtomicBool::new(false),
             jobs: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(0),
-            cache: ForkCache::with_budget(cfg.fork, cfg.cache_bytes),
             slice: cfg.slice.max(1),
             max_queue: cfg.max_queue,
             default_deadline_ms: cfg.deadline_ms,
@@ -596,8 +577,8 @@ impl Daemon {
         self.shared.shutdown.load(Ordering::Relaxed)
     }
 
-    /// The daemon's current scheduler/cache statistics (the same frame
-    /// a `stats` request returns).
+    /// The daemon's current scheduler statistics (the same frame a
+    /// `stats` request returns).
     pub fn stats(&self) -> StatsFrame {
         stats_frame(&self.shared)
     }
@@ -755,16 +736,13 @@ fn execute(shared: &Shared, job: Job) {
     let last_cycle = std::cell::Cell::new(0u64);
     let mut trace_path = None;
     let outcome = if let Some((cs, path)) = capture {
-        // Traced runs execute cold — the tracer must observe the run
-        // from cycle zero, which a restored snapshot cannot provide.
-        // Cancellation and the deadline are checked only before the run
-        // starts.
+        // Traced runs are not sliced: cancellation and the deadline are
+        // checked only before the run starts.
         if ctl.cancel.load(Ordering::Relaxed) {
             Err(Stopped::Cancelled)
         } else if deadline.is_some_and(|d| Instant::now() >= d) {
             Err(Stopped::DeadlineExceeded)
         } else {
-            shared.cache.note_ineligible();
             match run_captured(&cs, &path) {
                 Ok(result) => {
                     trace_path = Some(path);
@@ -784,14 +762,12 @@ fn execute(shared: &Shared, job: Job) {
             }
         }
     } else {
-        shared
-            .cache
-            .run_bounded(&spec, shared.slice, &ctl.cancel, deadline, |cycle| {
-                last_cycle.set(cycle);
-                if !reply.send_progress(id, cycle) {
-                    shared.dropped_progress.fetch_add(1, Ordering::Relaxed);
-                }
-            })
+        run_bounded(&spec, shared.slice, &ctl.cancel, deadline, |cycle| {
+            last_cycle.set(cycle);
+            if !reply.send_progress(id, cycle) {
+                shared.dropped_progress.fetch_add(1, Ordering::Relaxed);
+            }
+        })
     };
     shared.jobs.lock().unwrap().remove(&id);
     match outcome {
@@ -914,7 +890,6 @@ fn stats_frame(shared: &Shared) -> StatsFrame {
         (s.queue_depth(), s.running, s.high_water, workers, tenants)
     };
     tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-    let cache = shared.cache.stats();
     StatsFrame {
         queue_depth,
         running,
@@ -934,17 +909,6 @@ fn stats_frame(shared: &Shared) -> StatsFrame {
         workers,
         tenants,
         graph_cache_entries: pei_workloads::cache::len() as u64,
-        fork_cache: ForkCacheStat {
-            entries: cache.entries,
-            bytes: cache.bytes,
-            hits: cache.fork.hits,
-            misses: cache.fork.misses,
-            bypasses: cache.fork.bypasses,
-            ineligible: cache.fork.ineligible,
-            evictions: cache.evictions,
-            evicted_bytes: cache.evicted_bytes,
-            capacity_bytes: cache.capacity_bytes,
-        },
     }
 }
 

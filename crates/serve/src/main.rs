@@ -10,8 +10,7 @@
 //! Submit work with `pei-sim --submit <socket-path|host:port> ...` or by
 //! writing newline-delimited JSON request frames (DESIGN.md §12).
 
-use pei_bench::runner::ForkPolicy;
-use pei_serve::{Daemon, ServeConfig, DEFAULT_CACHE_BYTES};
+use pei_serve::{Daemon, ServeConfig};
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -28,12 +27,6 @@ usage: pei-serve (--socket PATH | --tcp ADDR | --stdio) [options]
   --workers N     worker threads executing jobs (default: CPU count)
   --slice N       cancellation/heartbeat granularity in simulated
                   cycles (default: 1000000)
-  --no-fork       disable the warm-fork snapshot cache
-  --fork-min N    fork only when the warmup prefix is at least N cycles
-                  (default: 100000; 0 forks every eligible group)
-  --cache-bytes N byte budget for resident warm snapshots; LRU entries
-                  are evicted past it (default: 268435456 = 256 MiB;
-                  0 = unbounded)
   --max-queue N   admission bound: total queued jobs across all
                   sessions; submits past it are rejected with a
                   `queue-full` error frame (default: 1024;
@@ -113,8 +106,6 @@ fn main() {
     let mut stdio = false;
     let mut workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut slice: u64 = 1_000_000;
-    let mut fork = ForkPolicy::default();
-    let mut cache_bytes: u64 = DEFAULT_CACHE_BYTES;
     let mut max_queue: u64 = pei_serve::DEFAULT_MAX_QUEUE;
     let mut deadline_ms: u64 = 0;
 
@@ -130,9 +121,6 @@ fn main() {
             "--stdio" => stdio = true,
             "--workers" => workers = parse(&value("--workers"), "--workers"),
             "--slice" => slice = parse(&value("--slice"), "--slice"),
-            "--no-fork" => fork = ForkPolicy::disabled(),
-            "--fork-min" => fork.min_prefix = parse(&value("--fork-min"), "--fork-min"),
-            "--cache-bytes" => cache_bytes = parse(&value("--cache-bytes"), "--cache-bytes"),
             "--max-queue" => max_queue = parse(&value("--max-queue"), "--max-queue"),
             "--deadline-ms" => deadline_ms = parse(&value("--deadline-ms"), "--deadline-ms"),
             "--help" | "-h" => {
@@ -150,12 +138,6 @@ fn main() {
     let cfg = ServeConfig {
         workers,
         slice,
-        fork,
-        cache_bytes: if cache_bytes == 0 {
-            None
-        } else {
-            Some(cache_bytes)
-        },
         max_queue: if max_queue == 0 {
             None
         } else {

@@ -29,7 +29,6 @@
 //! under the bound, guaranteeing both admission (for the choreographed
 //! jobs) and overflow (for the floods).
 
-use pei_bench::runner::ForkPolicy;
 use pei_bench::service::resolve_recipe;
 use pei_serve::chaos::{ChaosBehavior, ChaosKnobs, ChaosPlan, ChaosScript, ReadStyle};
 use pei_serve::{Daemon, ServeConfig};
@@ -80,8 +79,6 @@ fn config() -> ServeConfig {
     ServeConfig {
         workers: 2,
         slice: 2_000,
-        fork: ForkPolicy::always(),
-        cache_bytes: None,
         max_queue: Some(MAX_QUEUE),
         writer_queue: 16,
         ..ServeConfig::default()

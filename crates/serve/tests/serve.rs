@@ -2,9 +2,8 @@
 //! transports, pinning the wire contract of DESIGN.md §12 — every
 //! result byte-identical to its one-shot equivalent, failures and
 //! malformed frames as structured errors with the daemon still alive,
-//! and cancellation that leaves the resident caches intact.
+//! and cancellation that leaves the resident input cache intact.
 
-use pei_bench::runner::ForkPolicy;
 use pei_bench::service::resolve_recipe;
 use pei_serve::{Daemon, ServeConfig, PANIC_WORKER_FAULT};
 use pei_trace::Trace;
@@ -137,12 +136,10 @@ fn terminal_for(responses: &[Response], job: u64) -> &Response {
     terminal.unwrap_or_else(|| panic!("job {job} never reached a terminal frame: {responses:?}"))
 }
 
-fn forked_config(workers: usize) -> ServeConfig {
+fn sliced_config(workers: usize) -> ServeConfig {
     ServeConfig {
         workers,
         slice: 5_000,
-        fork: ForkPolicy::always(),
-        cache_bytes: None,
         ..ServeConfig::default()
     }
 }
@@ -152,7 +149,7 @@ fn submitted_recipe_is_byte_identical_to_the_one_shot_run() {
     let recipe = quick_recipe("la");
     let reference = resolve_recipe(&recipe).unwrap().run();
 
-    let daemon = Daemon::start(forked_config(1));
+    let daemon = Daemon::start(sliced_config(1));
     let responses = run_session(
         &daemon,
         vec![submit(recipe), (0, Request::Stats), (0, Request::Shutdown)],
@@ -195,13 +192,13 @@ fn submitted_recipe_is_byte_identical_to_the_one_shot_run() {
 
 #[test]
 fn concurrent_sessions_interleave_without_losing_byte_identity() {
-    // Sessions A and B submit four policies of one cell — la and lab
-    // share a fork key, so the daemon serves at least one of them from
-    // a restored snapshot. Session C injects a checked-mode fault,
-    // which must come back as a structured error frame *and leave the
-    // daemon serving*: C's second, healthy submission completes.
+    // Sessions A and B submit four policies of one cell (by their CLI
+    // names, `bd` included), all on one input graph from the shared
+    // input cache. Session C injects a checked-mode fault, which must
+    // come back as a structured error frame *and leave the daemon
+    // serving*: C's second, healthy submission completes.
     let reference = |policy: &str| resolve_recipe(&quick_recipe(policy)).unwrap().run();
-    let daemon = Arc::new(Daemon::start(forked_config(2)));
+    let daemon = Arc::new(Daemon::start(sliced_config(2)));
 
     let mut faulty = quick_recipe("la");
     faulty.check = true;
@@ -271,7 +268,7 @@ fn concurrent_sessions_interleave_without_losing_byte_identity() {
                 .collect::<Vec<Response>>()
         })
     };
-    let a = spawn(vec![quick_recipe("la"), quick_recipe("lab")]);
+    let a = spawn(vec![quick_recipe("la"), quick_recipe("bd")]);
     let b = spawn(vec![quick_recipe("host"), quick_recipe("pim")]);
     let c = spawn(vec![faulty, quick_recipe("pim")]);
     let (a, b, c) = (a.join().unwrap(), b.join().unwrap(), c.join().unwrap());
@@ -286,7 +283,7 @@ fn concurrent_sessions_interleave_without_losing_byte_identity() {
             })
             .collect()
     };
-    for (responses, policies) in [(&a, ["la", "lab"]), (&b, ["host", "pim"])] {
+    for (responses, policies) in [(&a, ["la", "bd"]), (&b, ["host", "pim"])] {
         for (job, policy) in ids(responses).into_iter().zip(policies) {
             match terminal_for(responses, job) {
                 Response::Result(r) => {
@@ -321,11 +318,6 @@ fn concurrent_sessions_interleave_without_losing_byte_identity() {
     let stats = daemon.stats();
     assert_eq!(stats.completed, 5);
     assert_eq!(stats.failed, 1);
-    assert!(
-        stats.fork_cache.hits >= 1,
-        "la/lab share a fork key: {:?}",
-        stats.fork_cache
-    );
 }
 
 /// A reader fed line by line from the test thread, so a request can be
@@ -381,13 +373,13 @@ fn cancel_stops_queued_and_running_jobs_and_spares_the_cache() {
     // waits queued. Cancelling 2 immediately kills it before it starts
     // (cycle 0); job 1 is cancelled only after its first heartbeat
     // proves it is mid-run, so its cancel cycle must be > 0. Job 3 must
-    // then run clean through the same cache.
+    // then run clean, and the input cache must keep its graphs.
     let mut long = quick_recipe("la");
     long.size = "medium".to_owned();
     long.budget = Some(200_000);
     let reference = resolve_recipe(&quick_recipe("la")).unwrap().run();
 
-    let daemon = Arc::new(Daemon::start(forked_config(1)));
+    let daemon = Arc::new(Daemon::start(sliced_config(1)));
     let (tx, rx) = std::sync::mpsc::channel();
     let out = SharedBuf::default();
     let session = {
@@ -467,13 +459,10 @@ fn cancel_stops_queued_and_running_jobs_and_spares_the_cache() {
     let stats = daemon.stats();
     assert_eq!(stats.cancelled, 2);
     assert_eq!(stats.completed, 1);
-    // Job 1's budget differs from job 3's, so their fork keys differ;
-    // what matters is that the cancelled jobs corrupted nothing and the
-    // cache still serves. Job 2 died while queued and never touched the
-    // cache, so the counters partition the two jobs that executed.
-    let fc = &stats.fork_cache;
-    assert_eq!(fc.hits + fc.misses + fc.bypasses + fc.ineligible, 2);
-    assert!(fc.entries >= 1, "job 1's snapshot stayed resident: {fc:?}");
+    assert!(
+        stats.graph_cache_entries >= 1,
+        "the input graphs stayed resident"
+    );
 }
 
 #[test]
@@ -616,7 +605,7 @@ fn a_panicking_worker_reports_the_job_failed_and_the_daemon_drains() {
     bomb.fault_kinds = vec![PANIC_WORKER_FAULT.to_owned()];
     let reference = resolve_recipe(&quick_recipe("la")).unwrap().run();
 
-    let daemon = Daemon::start(forked_config(1));
+    let daemon = Daemon::start(sliced_config(1));
     let responses = run_session(
         &daemon,
         vec![
@@ -657,45 +646,6 @@ fn a_panicking_worker_reports_the_job_failed_and_the_daemon_drains() {
 }
 
 #[test]
-fn eviction_under_a_starved_byte_budget_is_byte_identical_to_cold() {
-    // A one-byte budget evicts every warm snapshot the moment it is
-    // inserted, so each submission takes the cold path end to end. The
-    // results must stay byte-identical to the one-shot run — eviction
-    // is a memory policy, never a semantic one.
-    let reference = resolve_recipe(&quick_recipe("la")).unwrap().run();
-    let daemon = Daemon::start(ServeConfig {
-        workers: 1,
-        slice: 5_000,
-        fork: ForkPolicy::always(),
-        cache_bytes: Some(1),
-        ..ServeConfig::default()
-    });
-    let responses = run_session(
-        &daemon,
-        vec![
-            submit(quick_recipe("la")),
-            submit(quick_recipe("la")),
-            (0, Request::Shutdown),
-        ],
-    );
-    for job in [1, 2] {
-        match terminal_for(&responses, job) {
-            Response::Result(r) => {
-                assert_eq!(r.stats, reference.stats.to_string(), "job {job}");
-            }
-            other => panic!("job {job} should complete, got {other:?}"),
-        }
-    }
-    let fc = daemon.stats().fork_cache;
-    assert_eq!(fc.hits, 0, "nothing stays resident to hit: {fc:?}");
-    assert_eq!(fc.misses, 2, "both runs re-warmed from cold: {fc:?}");
-    assert_eq!(fc.evictions, 2, "each insert was evicted at once: {fc:?}");
-    assert_eq!(fc.entries, 0);
-    assert_eq!(fc.capacity_bytes, 1);
-    assert!(fc.evicted_bytes > 0);
-}
-
-#[test]
 fn tenants_drain_round_robin_within_bands_and_high_priority_preempts_the_queue() {
     // One worker; a filler job pins it while the backlog builds, so the
     // drain order is decided purely by the scheduler: tenant a queues
@@ -706,7 +656,7 @@ fn tenants_drain_round_robin_within_bands_and_high_priority_preempts_the_queue()
     filler.size = "medium".to_owned();
     filler.budget = Some(200_000);
 
-    let daemon = Arc::new(Daemon::start(forked_config(1)));
+    let daemon = Arc::new(Daemon::start(sliced_config(1)));
     let (tx, rx) = std::sync::mpsc::channel();
     let out = SharedBuf::default();
     let session = {
@@ -814,12 +764,12 @@ fn a_tcp_session_is_byte_identical_to_an_in_process_session() {
             (0, Request::Shutdown),
         ]
     };
-    let reference_daemon = Daemon::start(forked_config(1));
+    let reference_daemon = Daemon::start(sliced_config(1));
     let reference_out = SharedBuf::default();
     reference_daemon.serve(BufReader::new(Paced::new(script())), reference_out.clone());
     let reference_bytes = reference_out.0.lock().unwrap().clone();
 
-    let daemon = Arc::new(Daemon::start(forked_config(1)));
+    let daemon = Arc::new(Daemon::start(sliced_config(1)));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
     let addr = listener.local_addr().unwrap();
     let server = {
@@ -892,8 +842,6 @@ fn submissions_past_the_queue_bound_are_rejected_queue_full() {
     let daemon = Arc::new(Daemon::start(ServeConfig {
         workers: 1,
         slice: 5_000,
-        fork: ForkPolicy::always(),
-        cache_bytes: None,
         max_queue: Some(1),
         ..ServeConfig::default()
     }));
@@ -984,9 +932,9 @@ fn deadlines_bound_running_and_queued_jobs_and_spare_the_cache() {
     // spends longer than that queued behind job 1, so it must die on
     // the pre-check without simulating a cycle. Job 3 is healthy and
     // must stay byte-identical — a lapsed deadline never corrupts the
-    // resident caches.
+    // resident input cache.
     let reference = resolve_recipe(&quick_recipe("la")).unwrap().run();
-    let daemon = Daemon::start(forked_config(1));
+    let daemon = Daemon::start(sliced_config(1));
     let responses = run_session(
         &daemon,
         vec![
@@ -1031,8 +979,6 @@ fn deadlines_bound_running_and_queued_jobs_and_spare_the_cache() {
     let daemon = Daemon::start(ServeConfig {
         workers: 1,
         slice: 5_000,
-        fork: ForkPolicy::always(),
-        cache_bytes: None,
         deadline_ms: Some(200),
         ..ServeConfig::default()
     });
@@ -1054,7 +1000,7 @@ fn a_vanishing_client_gets_its_queued_and_running_jobs_reaped() {
     // be cancelled through the disconnect path — freeing the worker —
     // and a later well-behaved session must run byte-identically.
     let reference = resolve_recipe(&quick_recipe("la")).unwrap().run();
-    let daemon = Arc::new(Daemon::start(forked_config(1)));
+    let daemon = Arc::new(Daemon::start(sliced_config(1)));
     let (tx, rx) = std::sync::mpsc::channel();
     let out = SharedBuf::default();
     let session = {
@@ -1153,8 +1099,6 @@ fn slow_readers_shed_heartbeats_but_never_acks_or_terminals() {
     let daemon = Arc::new(Daemon::start(ServeConfig {
         workers: 1,
         slice: 50,
-        fork: ForkPolicy::always(),
-        cache_bytes: None,
         writer_queue: 2,
         ..ServeConfig::default()
     }));

@@ -47,4 +47,4 @@ pub use check::{
 pub use config::MachineConfig;
 pub use energy::{EnergyBreakdown, EnergyInputs, EnergyModel};
 pub use snapshot::Snapshot;
-pub use system::{PauseAt, RunResult, RunStatus, System};
+pub use system::{RunResult, RunStatus, System};

@@ -437,8 +437,7 @@ impl System {
     /// [`run_sharded`](System::run_sharded), but optionally pausing at
     /// the first epoch barrier at or after `pause_at` with all machine
     /// state intact (the sharded counterpart of
-    /// [`run_paused`](System::run_paused); `PauseAt::FirstPei` warm
-    /// runs use the sequential engine).
+    /// [`run_paused`](System::run_paused)).
     ///
     /// Both drivers follow the identical super-step schedule, so the
     /// pause cut — and the snapshot taken at it — is byte-identical

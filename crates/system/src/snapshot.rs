@@ -10,17 +10,8 @@
 //! that state into a freshly constructed, identically shaped machine;
 //! the continued run is byte-identical to one that never stopped.
 //!
-//! Three consumers build on this:
+//! Two consumers build on this:
 //!
-//! - **Warm-state forking**: the batch runner warms one machine per
-//!   (workload, scale, seed, monitor-class) prefix with
-//!   [`PauseAt::FirstPei`](crate::PauseAt), snapshots it, and restores
-//!   the snapshot into every policy cell that shares the prefix. The
-//!   pause fires *before* the first PMU event is dispatched, so no
-//!   policy decision has been taken yet; the only policy-dependent state
-//!   accumulated so far is the locality monitor shadowing L3 accesses,
-//!   which is why a snapshot is only restorable within the same monitor
-//!   class (see [`Snapshot::class_fingerprint`]).
 //! - **Crash-resumable runs**: `pei-sim --save-at N` pauses at a
 //!   deterministic cycle cut and writes the snapshot; `--resume FILE`
 //!   rebuilds the machine and continues.
@@ -135,8 +126,9 @@ impl Snapshot {
     /// Fingerprint of the machine configuration with the dispatch policy
     /// normalized to its monitor class ([`DispatchPolicy::uses_monitor`]).
     /// Restore requires this to match the target machine: machines in
-    /// the same class accumulate identical pre-PEI state, so a warm
-    /// snapshot forks soundly across policies *within* a class only.
+    /// the same class accumulate identical pre-PEI state, so a snapshot
+    /// cut before the first PMU dispatch restores soundly across
+    /// policies *within* a class only.
     pub fn class_fingerprint(&self) -> u64 {
         self.header.fp_class
     }
@@ -839,8 +831,6 @@ impl System {
         self.rebuild_queue(events, scheduled);
         self.foreign_events = (0, 0, 0);
         self.violations.clear();
-        self.warm_armed = false;
-        self.warm_stop = None;
         Ok(())
     }
 

@@ -117,22 +117,6 @@ impl RunResult {
     }
 }
 
-/// Where [`System::run_paused`] / [`System::run_sharded_paused`] should
-/// stop with all machine state intact (DESIGN.md §11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PauseAt {
-    /// Pause once every event strictly before this cycle has been
-    /// dispatched. The sharded engine rounds the cut up to its next
-    /// epoch barrier (both drivers follow the same barrier schedule, so
-    /// the cut is identical under any thread count).
-    Cycle(Cycle),
-    /// Pause just before the first PMU event would be dispatched — the
-    /// latest cut that precedes every dispatch-policy decision, used to
-    /// fork one warmed machine across policy sweep cells
-    /// (sequential engine only).
-    FirstPei,
-}
-
 /// Outcome of a pausable run.
 #[derive(Debug)]
 pub enum RunStatus {
@@ -243,12 +227,6 @@ pub struct System {
     // the cube shards' buffers in deterministic order at each epoch
     // barrier (DESIGN.md §10). `None` in sequential runs.
     pub(crate) shard_trace: Option<Vec<pei_trace::Record>>,
-    // While armed (run_paused with PauseAt::FirstPei), every scheduled
-    // PMU event lowers `warm_stop` to its delivery cycle; the run loop
-    // re-reads the bound each pop, so no event at or past the first PMU
-    // delivery is dispatched before the pause (DESIGN.md §11).
-    pub(crate) warm_armed: bool,
-    pub(crate) warm_stop: Option<Cycle>,
     // A sharded run paused at an epoch barrier (run_sharded_paused):
     // cube queues in canonical order plus the super-step seed. `Some`
     // only between a sharded pause and its resume/snapshot.
@@ -334,8 +312,6 @@ impl System {
             ob_hpcu: Outbox::new(),
             tracer: None,
             shard_trace: None,
-            warm_armed: false,
-            warm_stop: None,
             shard_pause: None,
             cfg,
         }
@@ -591,31 +567,21 @@ impl System {
 
     /// [`run`](System::run), but optionally stopping at a deterministic
     /// cut point with all machine state intact — the entry point for
-    /// [`snapshot`](System::snapshot)-based warm forking, crash-resume,
-    /// and bisection.
-    ///
-    /// - [`PauseAt::Cycle(t)`](PauseAt) dispatches every event strictly
-    ///   before cycle `t`, then pauses (events *at* `t` stay queued).
-    /// - [`PauseAt::FirstPei`] pauses just before the first PMU event
-    ///   (PEI request, pfence, flush completion, or memory-side result)
-    ///   would be dispatched — i.e. before any dispatch-policy decision
-    ///   is taken, the cut the warm-fork runner shares across policies.
+    /// [`snapshot`](System::snapshot)-based crash-resume and bisection.
+    /// `Some(t)` dispatches every event strictly before cycle `t`, then
+    /// pauses (events *at* `t` stay queued).
     ///
     /// Returns [`RunStatus::Paused`] only when the pause point was
     /// reached with work still outstanding; a run that completes (or
     /// fails) first returns [`RunStatus::Completed`]. Calling this again
     /// (or [`run`](System::run)) on a paused machine resumes it;
     /// resuming with `None` runs to completion.
-    pub fn run_paused(&mut self, max_cycles: Cycle, pause: Option<PauseAt>) -> RunStatus {
+    pub fn run_paused(&mut self, max_cycles: Cycle, pause_at: Option<Cycle>) -> RunStatus {
         assert!(!self.groups.is_empty(), "no workload assigned");
         assert!(
             self.shard_pause.is_none(),
             "machine holds a sharded pause; resume it with run_sharded"
         );
-        if let Some(PauseAt::FirstPei) = pause {
-            self.warm_armed = true;
-            self.warm_stop = None;
-        }
         for g in 0..self.groups.len() {
             // On a fresh machine this seeds phase 1; on a resumed one the
             // groups already progressed (their phase state was restored).
@@ -625,20 +591,12 @@ impl System {
         }
         let mut last = 0;
         loop {
-            // Re-read the bound every pop: PauseAt::FirstPei lowers it
-            // the moment a PMU event is scheduled.
-            let limit = match pause {
-                None => None,
-                Some(PauseAt::Cycle(t)) => Some(t),
-                Some(PauseAt::FirstPei) => self.warm_stop,
-            };
-            let popped = match limit {
+            let popped = match pause_at {
                 Some(t) => self.queue.pop_before(t),
                 None => self.queue.pop(),
             };
             let Some((now, ev)) = popped else { break };
             if now > max_cycles {
-                self.warm_armed = false;
                 return RunStatus::Completed(self.fail(FailureKind::CycleLimit, now));
             }
             last = now;
@@ -658,23 +616,15 @@ impl System {
                 }
             }
             if !self.violations.is_empty() {
-                self.warm_armed = false;
                 return RunStatus::Completed(self.fail(FailureKind::CheckFailed, now));
             }
             if self.all_done() {
                 break;
             }
         }
-        self.warm_armed = false;
         if !self.all_done() && !self.queue.is_empty() {
             // Only a pause bound stops the loop with events still queued.
-            let at = match pause {
-                Some(PauseAt::Cycle(t)) => t,
-                Some(PauseAt::FirstPei) => self
-                    .warm_stop
-                    .expect("paused implies a PMU event was scheduled"),
-                None => unreachable!("pop() returns None only on an empty queue"),
-            };
+            let at = pause_at.expect("pop() returns None only on an empty queue");
             return RunStatus::Paused { at };
         }
         if !self.all_done() {
@@ -684,10 +634,10 @@ impl System {
     }
 
     /// [`run`](System::run), but cooperatively cancellable: the run is
-    /// sliced into [`PauseAt::Cycle`] windows of `slice` cycles, and the
-    /// cancel flag is checked between slices — the entry point for
-    /// long-lived hosts (`pei-serve`) that must abandon an in-flight job
-    /// without killing the process.
+    /// sliced into [`run_paused`](System::run_paused) windows of `slice`
+    /// cycles, and the cancel flag is checked between slices — the entry
+    /// point for long-lived hosts (`pei-serve`) that must abandon an
+    /// in-flight job without killing the process.
     ///
     /// `progress` is called with the cycle bound reached after each
     /// slice that paused (a completed run may finish without any call).
@@ -716,7 +666,7 @@ impl System {
             if cancel.load(Ordering::Relaxed) {
                 return None;
             }
-            match self.run_paused(max_cycles, Some(PauseAt::Cycle(at))) {
+            match self.run_paused(max_cycles, Some(at)) {
                 RunStatus::Completed(r) => return Some(r),
                 RunStatus::Paused { at: reached } => {
                     progress(reached);
@@ -1310,17 +1260,9 @@ impl System {
         }
     }
 
-    /// Schedules a PMU event. While a `PauseAt::FirstPei` warm run is
-    /// armed, lowers the warm-stop bound to the earliest PMU delivery:
-    /// the run loop re-reads the bound each pop, and pops are monotone
-    /// in time, so nothing at or past that delivery is dispatched before
-    /// the pause — the machine stops just short of its first dispatch
-    /// decision.
+    /// Schedules a PMU event.
     #[inline]
     fn sched_pmu(&mut self, at: Cycle, input: PmuIn) {
-        if self.warm_armed {
-            self.warm_stop = Some(self.warm_stop.map_or(at, |t| t.min(at)));
-        }
         self.queue.schedule(at, Ev::Pmu(Box::new(input)));
     }
 

@@ -5,7 +5,7 @@
 use pei_core::DispatchPolicy;
 use pei_cpu::trace::{Op, VecPhases};
 use pei_mem::BackingStore;
-use pei_system::{MachineConfig, PauseAt, Snapshot, System};
+use pei_system::{MachineConfig, Snapshot, System};
 use pei_types::snap::SnapError;
 use pei_types::{Addr, OperandValue, PimOpKind};
 use proptest::prelude::*;
@@ -192,7 +192,7 @@ fn pause_and_snapshot(
     blocks: usize,
 ) -> Result<Snapshot, TestCaseError> {
     let mut sys = mixed_machine(policy, blocks);
-    match sys.run_paused(500_000_000, Some(PauseAt::Cycle(cut))) {
+    match sys.run_paused(500_000_000, Some(cut)) {
         pei_system::RunStatus::Paused { .. } => {}
         pei_system::RunStatus::Completed(_) => {
             return Err(TestCaseError::reject(

@@ -1,14 +1,15 @@
 //! End-to-end tests of machine snapshot/restore (DESIGN.md §11): a
 //! restored run must be byte-identical to an uninterrupted one — for
 //! the sequential and the sharded engine, with and without checked
-//! mode — capture must be non-perturbing, warm-state forking must be
-//! sound across dispatch policies within a monitor class, and malformed
-//! snapshot bytes must produce offset-reporting errors, never panics.
+//! mode — capture must be non-perturbing, a snapshot cut before the
+//! first PEI must restore soundly across dispatch policies within a
+//! monitor class, and malformed snapshot bytes must produce
+//! offset-reporting errors, never panics.
 
 use pei_core::DispatchPolicy;
 use pei_cpu::trace::{Op, PhasedTrace, VecPhases};
 use pei_mem::BackingStore;
-use pei_system::{CheckConfig, MachineConfig, PauseAt, RunResult, Snapshot, System};
+use pei_system::{CheckConfig, MachineConfig, RunResult, Snapshot, System};
 use pei_trace::{Record, Recorder, Trace, TraceSink};
 use pei_types::snap::SnapError;
 use pei_types::{Addr, OperandValue, PimOpKind};
@@ -67,9 +68,7 @@ fn sequential_snapshot_restore_is_byte_identical() {
 
     // Pause a second, identical machine mid-run and snapshot it.
     let mut paused = build(cfg, 48);
-    let at = paused
-        .run_paused(LIMIT, Some(PauseAt::Cycle(cut)))
-        .expect_paused();
+    let at = paused.run_paused(LIMIT, Some(cut)).expect_paused();
     assert_eq!(at, cut);
     let snap = paused.snapshot().expect("snapshot a paused machine");
     assert!(!snap.is_sharded());
@@ -95,8 +94,7 @@ fn snapshot_roundtrips_to_identical_bytes() {
     // exact bytes: the format captures all state it restores.
     let cfg = MachineConfig::scaled(DispatchPolicy::LocalityAwareBalanced);
     let mut m = build(cfg, 32);
-    m.run_paused(LIMIT, Some(PauseAt::Cycle(1_500)))
-        .expect_paused();
+    m.run_paused(LIMIT, Some(1_500)).expect_paused();
     let snap = m.snapshot().expect("snapshot");
     let mut twin = build(cfg, 32);
     twin.restore(&snap).expect("restore");
@@ -122,15 +120,31 @@ fn snapshot_metadata_roundtrips() {
 
 #[test]
 fn warm_fork_across_policies_matches_cold_runs() {
-    // Warm one locality-aware machine up to (but not including) its
-    // first PMU dispatch, then fork the snapshot into both policies of
-    // the monitor class. Each forked run must equal its cold twin.
+    // Cut one locality-aware machine just before its first PMU event —
+    // before any dispatch decision is taken — then restore the snapshot
+    // into both policies of the monitor class. Each restored run must
+    // equal its cold twin.
     let warm_cfg = MachineConfig::scaled(DispatchPolicy::LocalityAware);
+    let mut traced = build(warm_cfg, 48);
+    traced.attach_tracer(Box::new(Recorder::new()));
+    traced.run(LIMIT);
+    let trace = trace_of(traced.detach_tracer().expect("tracer"));
+    let pmu = trace
+        .comps
+        .iter()
+        .position(|c| c == "pmu")
+        .expect("the PMU is interned");
+    let first_pei = trace
+        .records
+        .iter()
+        .find(|r| usize::from(r.comp.0) == pmu)
+        .expect("the workload issues PEIs")
+        .cycle;
+    assert!(first_pei > 0);
+
     let mut warm = build(warm_cfg, 48);
-    let at = warm
-        .run_paused(LIMIT, Some(PauseAt::FirstPei))
-        .expect_paused();
-    assert!(at > 0);
+    let at = warm.run_paused(LIMIT, Some(first_pei)).expect_paused();
+    assert_eq!(at, first_pei);
     let snap = warm.snapshot().expect("snapshot the warmed machine");
 
     for policy in [
@@ -218,9 +232,7 @@ fn checked_runs_snapshot_and_restore_identically() {
     let mut paused = build(cfg, 48);
     paused.enable_checks(check);
     let cut = reference.cycles / 2;
-    paused
-        .run_paused(LIMIT, Some(PauseAt::Cycle(cut)))
-        .expect_paused();
+    paused.run_paused(LIMIT, Some(cut)).expect_paused();
     let snap = paused.snapshot().expect("snapshot under checked mode");
     let mut restored = build(cfg, 48);
     restored.enable_checks(check);
@@ -267,11 +279,13 @@ fn restore_rejects_a_checked_mode_mismatch() {
     }
 }
 
-fn records_of(sink: Box<dyn TraceSink>) -> Vec<Record> {
+fn trace_of(sink: Box<dyn TraceSink>) -> Trace {
     let bytes = sink.to_petr().expect("recorder retains capture");
-    Trace::from_bytes(&bytes)
-        .expect("own encoding parses")
-        .records
+    Trace::from_bytes(&bytes).expect("own encoding parses")
+}
+
+fn records_of(sink: Box<dyn TraceSink>) -> Vec<Record> {
+    trace_of(sink).records
 }
 
 #[test]
@@ -287,9 +301,7 @@ fn trace_parts_concatenate_to_the_uninterrupted_trace() {
     let mut paused = build(cfg, 32);
     paused.attach_tracer(Box::new(Recorder::new()));
     let cut = reference.cycles / 2;
-    paused
-        .run_paused(LIMIT, Some(PauseAt::Cycle(cut)))
-        .expect_paused();
+    paused.run_paused(LIMIT, Some(cut)).expect_paused();
     let snap = paused.snapshot().expect("snapshot");
     let part1 = records_of(paused.detach_tracer().expect("tracer"));
 
@@ -312,8 +324,7 @@ fn trace_parts_concatenate_to_the_uninterrupted_trace() {
 fn truncated_and_corrupt_snapshots_error_instead_of_panicking() {
     let cfg = MachineConfig::scaled(DispatchPolicy::LocalityAware);
     let mut m = build(cfg, 16);
-    m.run_paused(LIMIT, Some(PauseAt::Cycle(1_000)))
-        .expect_paused();
+    m.run_paused(LIMIT, Some(1_000)).expect_paused();
     let snap = m.snapshot().expect("snapshot");
     let bytes = snap.as_bytes().to_vec();
 
@@ -347,7 +358,7 @@ fn truncated_and_corrupt_snapshots_error_instead_of_panicking() {
 
 #[test]
 fn cancellable_run_is_byte_identical_to_unsliced() {
-    // Slicing the loop into PauseAt::Cycle windows changes where the
+    // Slicing the loop into run_paused windows changes where the
     // driver pauses, never the event order inside a window — the
     // foundation of pei-serve's byte-identity contract.
     let cfg = MachineConfig::scaled(DispatchPolicy::LocalityAware);

@@ -339,34 +339,6 @@ pub struct WorkerStat {
     pub busy_ms: u64,
 }
 
-/// Warm-fork cache statistics (see `pei_bench::service::ForkCache`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ForkCacheStat {
-    /// Resident warmed snapshots.
-    pub entries: u64,
-    /// Resident snapshot bytes.
-    pub bytes: u64,
-    /// Jobs served by restoring a resident snapshot.
-    pub hits: u64,
-    /// Jobs that had to warm (or run cold) because no snapshot was
-    /// resident for their fork key.
-    pub misses: u64,
-    /// Jobs whose warmup prefix was below the auto-bypass threshold, so
-    /// forking was skipped as not worth the snapshot cost.
-    pub bypasses: u64,
-    /// Jobs ineligible for forking (fault plans, sharded engine,
-    /// traced runs).
-    pub ineligible: u64,
-    /// Warm snapshots evicted to stay inside the byte budget. An
-    /// evicted key simply misses again later — eviction never changes
-    /// results.
-    pub evictions: u64,
-    /// Total bytes released by those evictions.
-    pub evicted_bytes: u64,
-    /// The configured byte budget (0 = unbounded).
-    pub capacity_bytes: u64,
-}
-
 /// Per-tenant scheduler statistics (one entry per tenant ever seen,
 /// sorted by name in the `stats` frame).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -384,8 +356,8 @@ pub struct TenantStat {
     pub wait_p95_ms: u64,
 }
 
-/// A `stats` response: queue and worker state, job totals, and the two
-/// resident caches.
+/// A `stats` response: queue and worker state, job totals, and the
+/// resident input-graph cache.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsFrame {
     /// Jobs queued but not yet claimed by a worker.
@@ -435,8 +407,6 @@ pub struct StatsFrame {
     pub tenants: Vec<TenantStat>,
     /// Entries resident in the process-wide `Arc<Graph>` input cache.
     pub graph_cache_entries: u64,
-    /// Warm-fork snapshot cache counters.
-    pub fork_cache: ForkCacheStat,
 }
 
 /// A daemon-to-client frame.
@@ -618,26 +588,6 @@ impl Response {
                     "graph_cache_entries".to_owned(),
                     Json::from(s.graph_cache_entries),
                 ),
-                (
-                    "fork_cache".to_owned(),
-                    Json::Obj(vec![
-                        ("entries".to_owned(), Json::from(s.fork_cache.entries)),
-                        ("bytes".to_owned(), Json::from(s.fork_cache.bytes)),
-                        ("hits".to_owned(), Json::from(s.fork_cache.hits)),
-                        ("misses".to_owned(), Json::from(s.fork_cache.misses)),
-                        ("bypasses".to_owned(), Json::from(s.fork_cache.bypasses)),
-                        ("ineligible".to_owned(), Json::from(s.fork_cache.ineligible)),
-                        ("evictions".to_owned(), Json::from(s.fork_cache.evictions)),
-                        (
-                            "evicted_bytes".to_owned(),
-                            Json::from(s.fork_cache.evicted_bytes),
-                        ),
-                        (
-                            "capacity_bytes".to_owned(),
-                            Json::from(s.fork_cache.capacity_bytes),
-                        ),
-                    ]),
-                ),
             ]),
             Response::Bye => Json::Obj(vec![("type".to_owned(), Json::from("bye"))]),
         };
@@ -730,7 +680,6 @@ impl Response {
                         .collect::<Result<_, WireError>>()?,
                     Some(_) => return Err(bad("`tenants` must be an array")),
                 };
-                let fc = v.get("fork_cache").cloned().unwrap_or(Json::Obj(vec![]));
                 Ok(Response::Stats(StatsFrame {
                     queue_depth: req_u64(&v, "queue_depth")?,
                     running: req_u64(&v, "running")?,
@@ -751,17 +700,6 @@ impl Response {
                     workers,
                     tenants,
                     graph_cache_entries: req_u64(&v, "graph_cache_entries")?,
-                    fork_cache: ForkCacheStat {
-                        entries: opt_u64(&fc, "entries")?.unwrap_or(0),
-                        bytes: opt_u64(&fc, "bytes")?.unwrap_or(0),
-                        hits: opt_u64(&fc, "hits")?.unwrap_or(0),
-                        misses: opt_u64(&fc, "misses")?.unwrap_or(0),
-                        bypasses: opt_u64(&fc, "bypasses")?.unwrap_or(0),
-                        ineligible: opt_u64(&fc, "ineligible")?.unwrap_or(0),
-                        evictions: opt_u64(&fc, "evictions")?.unwrap_or(0),
-                        evicted_bytes: opt_u64(&fc, "evicted_bytes")?.unwrap_or(0),
-                        capacity_bytes: opt_u64(&fc, "capacity_bytes")?.unwrap_or(0),
-                    },
                 }))
             }
             "bye" => Ok(Response::Bye),
@@ -994,17 +932,6 @@ mod tests {
                     },
                 ],
                 graph_cache_entries: 4,
-                fork_cache: ForkCacheStat {
-                    entries: 2,
-                    bytes: 1 << 20,
-                    hits: 7,
-                    misses: 2,
-                    bypasses: 1,
-                    ineligible: 1,
-                    evictions: 3,
-                    evicted_bytes: 3 << 19,
-                    capacity_bytes: 256 << 20,
-                },
             }),
             Response::Bye,
         ] {
@@ -1109,6 +1036,54 @@ mod tests {
             }
             other => panic!("wrong frame {other:?}"),
         }
+    }
+
+    #[test]
+    fn stats_frames_from_daemons_with_a_snapshot_cache_still_decode() {
+        // A `stats` line from a daemon that still ran a warm-fork
+        // snapshot cache: its extra counters object is ignored, and
+        // re-encoding drops exactly that member.
+        let retired = concat!(
+            r#","fork_cache":{"entries":0,"bytes":0,"hits":0,"misses":1,"#,
+            r#""bypasses":1,"ineligible":0,"evictions":0,"evicted_bytes":0,"#,
+            r#""capacity_bytes":268435456}"#,
+        );
+        let current = concat!(
+            r#"{"type":"stats","queue_depth":0,"running":0,"submitted":2,"#,
+            r#""completed":2,"failed":0,"cancelled":0,"rejected":0,"queue_full":0,"#,
+            r#""deadline_exceeded":0,"disconnect_cancelled":0,"queue_high_water":1,"#,
+            r#""dropped_progress":0,"session_dropped_progress":0,"uptime_ms":29,"#,
+            r#""workers":[{"jobs":2,"busy":false,"busy_ms":26}],"#,
+            r#""tenants":[{"tenant":"ci","submitted":2,"completed":2,"#,
+            r#""wait_p50_ms":0,"wait_p95_ms":0}],"graph_cache_entries":1}"#,
+        );
+        let older = format!("{}{retired}}}", current.strip_suffix('}').unwrap());
+        let decoded = Response::decode(&older).unwrap();
+        assert_eq!(
+            decoded,
+            Response::Stats(StatsFrame {
+                submitted: 2,
+                completed: 2,
+                queue_high_water: 1,
+                uptime_ms: 29,
+                workers: vec![WorkerStat {
+                    jobs: 2,
+                    busy: false,
+                    busy_ms: 26,
+                }],
+                tenants: vec![TenantStat {
+                    tenant: "ci".into(),
+                    submitted: 2,
+                    completed: 2,
+                    wait_p50_ms: 0,
+                    wait_p95_ms: 0,
+                }],
+                graph_cache_entries: 1,
+                ..StatsFrame::default()
+            })
+        );
+        assert_eq!(decoded.encode(), current);
+        assert_eq!(Response::decode(current).unwrap(), decoded);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use pei::cpu::trace_io::RecordedTrace;
 use pei::cpu::{PageMap, TlbConfig};
 use pei::prelude::*;
+use pei_bench::tracecap::parse_policy_short;
 
 struct Args {
     workload: Workload,
@@ -130,13 +131,9 @@ fn parse_args() -> Result<Args, String> {
                 };
             }
             "-p" | "--policy" => {
-                args.policy = match value("--policy")?.to_lowercase().as_str() {
-                    "host" => DispatchPolicy::HostOnly,
-                    "pim" => DispatchPolicy::PimOnly,
-                    "la" => DispatchPolicy::LocalityAware,
-                    "bd" => DispatchPolicy::LocalityAwareBalanced,
-                    other => return Err(format!("unknown policy `{other}`")),
-                };
+                let v = value("--policy")?.to_lowercase();
+                args.policy =
+                    parse_policy_short(&v).ok_or_else(|| format!("unknown policy `{v}`"))?;
             }
             "--ideal-host" => args.ideal_host = true,
             "--paper" => args.paper = true,
@@ -415,12 +412,10 @@ fn args_from_meta(snap: &Snapshot, resume_path: &str) -> Result<Args, String> {
             "large" => InputSize::Large,
             other => return Err(format!("unknown size `{other}` in snapshot metadata")),
         },
-        policy: match get("policy")?.as_str() {
-            "host" => DispatchPolicy::HostOnly,
-            "pim" => DispatchPolicy::PimOnly,
-            "la" => DispatchPolicy::LocalityAware,
-            "bd" => DispatchPolicy::LocalityAwareBalanced,
-            other => return Err(format!("unknown policy `{other}` in snapshot metadata")),
+        policy: {
+            let v = get("policy")?;
+            parse_policy_short(&v)
+                .ok_or_else(|| format!("unknown policy `{v}` in snapshot metadata"))?
         },
         paper: get("paper")? == "true",
         ideal_host: get("ideal_host")? == "true",
@@ -561,7 +556,7 @@ fn main() {
     }
     let start = std::time::Instant::now();
     let r = if let Some(at) = args.save_at {
-        match sys.run_paused(u64::MAX, Some(PauseAt::Cycle(at))) {
+        match sys.run_paused(u64::MAX, Some(at)) {
             RunStatus::Paused { at: cycle } => {
                 let snap = match sys.snapshot_with_meta(&snapshot_meta(&args)) {
                     Ok(s) => s,

@@ -60,7 +60,7 @@ pub mod prelude {
     pub use pei_core::{DispatchPolicy, PimDirectory};
     pub use pei_cpu::trace::{Op, PhasedTrace, VecPhases};
     pub use pei_mem::BackingStore;
-    pub use pei_system::{MachineConfig, PauseAt, RunResult, RunStatus, Snapshot, System};
+    pub use pei_system::{MachineConfig, RunResult, RunStatus, Snapshot, System};
     pub use pei_types::{Addr, BlockAddr, OperandValue, PimOpKind};
     pub use pei_workloads::{InputSize, Workload, WorkloadParams};
 }
