@@ -407,9 +407,16 @@ pub mod presence {
         mask & (1 << core.index()) != 0
     }
 
-    /// Iterates the cores in the mask.
-    pub fn iter(mask: u64) -> impl Iterator<Item = CoreId> {
-        (0..64).filter(move |i| mask & (1 << i) != 0).map(CoreId)
+    /// Iterates the cores in the mask in ascending order, visiting set
+    /// bits only.
+    pub fn iter(mut mask: u64) -> impl Iterator<Item = CoreId> {
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let core = CoreId(mask.trailing_zeros() as u16);
+                mask &= mask - 1;
+                core
+            })
+        })
     }
 
     /// Number of cores in the mask.
@@ -508,6 +515,25 @@ mod tests {
         assert_eq!(iter(m).collect::<Vec<_>>(), vec![CoreId(0), CoreId(5)]);
         m = remove(m, CoreId(0));
         assert_eq!(count(m), 1);
+    }
+
+    #[test]
+    fn presence_iter_matches_testing_every_bit() {
+        let every_bit = |mask: u64| -> Vec<CoreId> {
+            (0..64)
+                .filter(|i| mask & (1 << i) != 0)
+                .map(CoreId)
+                .collect()
+        };
+        let mut rng = pei_engine::SimRng::seed_from(0x9e5e);
+        let masks = [0, u64::MAX]
+            .into_iter()
+            .chain((0..64).map(|i| 1 << i))
+            .chain((0..1000).map(|_| rng.next_u64() & rng.next_u64()));
+        for mask in masks {
+            let cores: Vec<_> = presence::iter(mask).collect();
+            assert_eq!(cores, every_bit(mask), "mask {mask:#x}");
+        }
     }
 
     #[test]

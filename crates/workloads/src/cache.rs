@@ -4,12 +4,17 @@
 //! configurations (Ideal-Host, Host-Only, PIM-Only, Locality-Aware), and
 //! the five graph workloads of one input size all read the same
 //! power-law graph (Table 3). Without sharing, every `Workload::build`
-//! call regenerates that graph from scratch — an `O(E log E)` edge sort
-//! that dominates setup time at paper scale. This module interns
-//! generated graphs behind [`Arc`]s keyed by their full generation
-//! parameters `(n, avg_deg, seed)`, so regeneration happens once per
-//! distinct input no matter how many configurations, workloads, or
-//! worker threads ask for it.
+//! call regenerates that graph from scratch, which dominates setup time
+//! at paper scale. This module interns generated graphs behind [`Arc`]s
+//! keyed by their full generation parameters `(n, avg_deg, seed)`, so
+//! generation happens once per distinct input no matter how many
+//! configurations, workloads, or worker threads ask for it.
+//!
+//! Lookups are single-flight: the first caller of a new key builds the
+//! graph and every concurrent caller of that key waits for its result,
+//! while callers of other keys go on (and build) unhindered. Fig. 2's
+//! Host-Only and PIM-Only cells of one graph, run on two grid workers,
+//! thus share one build instead of racing two.
 //!
 //! Correctness relies on generation being a pure function of the key
 //! (see [`Graph::power_law`]): a cache hit is observationally identical
@@ -38,31 +43,36 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Generation parameters that fully determine a power-law graph.
 type GraphKey = (usize, usize, u64);
 
-fn graph_cache() -> &'static Mutex<HashMap<GraphKey, Arc<Graph>>> {
-    static CACHE: OnceLock<Mutex<HashMap<GraphKey, Arc<Graph>>>> = OnceLock::new();
+/// One key's graph, set once by the caller that builds it.
+type Slot = Arc<OnceLock<Arc<Graph>>>;
+
+fn graph_cache() -> &'static Mutex<HashMap<GraphKey, Slot>> {
+    static CACHE: OnceLock<Mutex<HashMap<GraphKey, Slot>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// Returns the power-law graph for `(n, avg_deg, seed)`, generating it
 /// on first request and sharing the same [`Arc`] thereafter.
 ///
-/// Generation happens outside the cache lock, so two threads racing on
-/// the same *new* key may both generate; determinism of
-/// [`Graph::power_law`] makes either result identical and the first
-/// insert wins.
+/// The cache lock is held only to find or insert the key's slot, never
+/// during a build. The first caller of a new key builds it; concurrent
+/// callers of the same key block until that build is done and get its
+/// [`Arc`]. If the build panics, the slot stays empty and the next
+/// caller builds again.
 pub fn shared_power_law(n: usize, avg_deg: usize, seed: u64) -> Arc<Graph> {
     let key = (n, avg_deg, seed);
-    if let Some(g) = graph_cache().lock().unwrap().get(&key) {
-        return Arc::clone(g);
-    }
-    let fresh = Arc::new(Graph::power_law(n, avg_deg, seed));
-    Arc::clone(
+    let slot = Arc::clone(
         graph_cache()
             .lock()
-            .unwrap()
+            .expect("no graph-cache holder panics")
             .entry(key)
-            .or_insert_with(|| fresh),
-    )
+            .or_default(),
+    );
+    Arc::clone(slot.get_or_init(|| {
+        #[cfg(test)]
+        tests::BUILDS.lock().unwrap().push(key);
+        Arc::new(Graph::power_law(n, avg_deg, seed))
+    }))
 }
 
 /// Drops every cached input, releasing the memory. Entries regenerate
@@ -71,7 +81,7 @@ pub fn clear() {
     graph_cache().lock().unwrap().clear();
 }
 
-/// Number of distinct inputs currently interned.
+/// Number of distinct inputs currently interned (or being built).
 pub fn len() -> usize {
     graph_cache().lock().unwrap().len()
 }
@@ -118,5 +128,31 @@ mod tests {
         for g in &graphs[1..] {
             assert_eq!(g.adj, graphs[0].adj);
         }
+    }
+
+    /// Keys built by `shared_power_law`, one entry per build.
+    pub(super) static BUILDS: Mutex<Vec<GraphKey>> = Mutex::new(Vec::new());
+
+    /// Eight threads released at once onto a new key build it once and
+    /// all get the one result. The key is used by no other test: tests
+    /// share the process-wide cache.
+    #[test]
+    fn racing_callers_share_one_build() {
+        const KEY: GraphKey = (40_000, 10, 0x51f1);
+        let start = std::sync::Barrier::new(8);
+        let graphs: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        shared_power_law(KEY.0, KEY.1, KEY.2)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(graphs.iter().all(|g| Arc::ptr_eq(g, &graphs[0])));
+        let builds = BUILDS.lock().unwrap().iter().filter(|&&k| k == KEY).count();
+        assert_eq!(builds, 1);
     }
 }
