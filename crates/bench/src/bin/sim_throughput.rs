@@ -9,7 +9,7 @@
 //! ```text
 //! cargo run -p pei-bench --release --bin sim_throughput -- \
 //!     [--scale quick|full] [--paper] [--seed <n>] [--repeat <n>] [--label <s>] [--out <path>] \
-//!     [--append] [--traced] [--checked] [--shards <n>]
+//!     [--append] [--traced] [--checked]
 //! ```
 //!
 //! Runs are strictly serial (`jobs` is fixed at 1) so wall-clock time
@@ -30,19 +30,14 @@
 //! sanitizer's overhead (EXPERIMENTS.md §"Checked-mode overhead").
 //! Simulated results are likewise identical — sweeps observe only.
 //!
-//! `--shards <n>` runs every measured cell on the sharded engine
-//! (`System::run_sharded`, DESIGN.md §10) with `n` threads; pair a
-//! `--shards 1` record with a `--shards <n>` record (ideally `--paper`,
-//! whose 8 cubes give the partition real width) to measure intra-run
-//! parallel speedup (EXPERIMENTS.md §"Sharded-engine speedup"). The
-//! sharded schedule is a different valid event ordering than the
-//! sequential engine's, so compare sharded records against sharded
-//! baselines. `--paper` selects the paper-scale machine.
+//! `--paper` selects the paper-scale machine. A bad argument prints
+//! `error: …` and the usage to stderr and exits with status 2.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use pei_bench::runner::RunSpec;
+use pei_bench::tracecap::policy_name;
 use pei_bench::{ExpOptions, Scale};
 use pei_core::DispatchPolicy;
 use pei_trace::NullSink;
@@ -60,14 +55,8 @@ const MIX: [(Workload, DispatchPolicy); 6] = [
     (Workload::Sc, DispatchPolicy::LocalityAware),
 ];
 
-fn policy_name(p: DispatchPolicy) -> &'static str {
-    match p {
-        DispatchPolicy::HostOnly => "host-only",
-        DispatchPolicy::PimOnly => "pim-only",
-        DispatchPolicy::LocalityAware => "locality-aware",
-        DispatchPolicy::LocalityAwareBalanced => "locality-aware-balanced",
-    }
-}
+const USAGE: &str = "usage: sim_throughput [--scale quick|full] [--paper] [--seed N] [--repeat N] \
+                     [--label S] [--out PATH] [--append] [--traced] [--checked]";
 
 struct Args {
     opts: ExpOptions,
@@ -79,72 +68,52 @@ struct Args {
     checked: bool,
 }
 
-fn parse_args() -> Args {
-    let mut opts = ExpOptions {
-        jobs: 1,
-        ..ExpOptions::default()
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut a = Args {
+        opts: ExpOptions {
+            jobs: 1,
+            ..ExpOptions::default()
+        },
+        repeat: 3,
+        label: String::from("dev"),
+        out: String::from("BENCH_sim_throughput.json"),
+        append: false,
+        traced: false,
+        checked: false,
     };
-    let mut repeat = 3;
-    let mut label = String::from("dev");
-    let mut out = String::from("BENCH_sim_throughput.json");
-    let mut append = false;
-    let mut traced = false;
-    let mut checked = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
+    let mut argv = argv.into_iter();
+    while let Some(flag) = argv.next() {
+        let mut value = || argv.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
             "--scale" => {
-                let v = args.next().expect("--scale needs quick|full");
-                opts.scale = match v.as_str() {
-                    "quick" => Scale::Quick,
-                    "full" => Scale::Full,
-                    other => panic!("unknown scale `{other}` (quick|full)"),
-                };
+                let v = value()?;
+                a.opts.scale =
+                    Scale::parse(&v).ok_or_else(|| format!("unknown scale `{v}` (quick|full)"))?;
             }
             "--seed" => {
-                opts.seed = args
-                    .next()
-                    .expect("--seed needs a number")
+                let v = value()?;
+                a.opts.seed = v
                     .parse()
-                    .expect("seed must be an integer");
+                    .map_err(|_| format!("--seed must be an integer, got `{v}`"))?;
             }
             "--repeat" => {
-                repeat = args
-                    .next()
-                    .expect("--repeat needs a number")
+                let v = value()?;
+                a.repeat = v
                     .parse()
-                    .expect("repeat must be an integer");
-                assert!(repeat >= 1, "--repeat must be at least 1");
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .ok_or_else(|| format!("--repeat must be an integer >= 1, got `{v}`"))?;
             }
-            "--label" => label = args.next().expect("--label needs a string"),
-            "--out" => out = args.next().expect("--out needs a path"),
-            "--append" => append = true,
-            "--traced" => traced = true,
-            "--checked" => checked = true,
-            "--paper" => opts.paper_machine = true,
-            "--shards" => {
-                let n: usize = args
-                    .next()
-                    .expect("--shards needs a number")
-                    .parse()
-                    .expect("shards must be an integer");
-                assert!(n >= 1, "--shards must be at least 1");
-                opts.shards = Some(n);
-            }
-            other => panic!(
-                "unknown argument `{other}` (--scale, --paper, --seed, --repeat, --label, --out, --append, --traced, --checked, --shards)"
-            ),
+            "--label" => a.label = value()?,
+            "--out" => a.out = value()?,
+            "--append" => a.append = true,
+            "--traced" => a.traced = true,
+            "--checked" => a.checked = true,
+            "--paper" => a.opts.paper_machine = true,
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Args {
-        opts,
-        repeat,
-        label,
-        out,
-        append,
-        traced,
-        checked,
-    }
+    Ok(a)
 }
 
 struct Measured {
@@ -156,20 +125,16 @@ struct Measured {
 }
 
 fn record_json(args: &Args, runs: &[Measured]) -> String {
-    let scale = match args.opts.scale {
-        Scale::Quick => "quick",
-        Scale::Full => "full",
-    };
+    let scale = args.opts.scale.name();
     let mut s = String::new();
     let _ = write!(
         s,
-        "  {{\n    \"label\": \"{}\",\n    \"scale\": \"{scale}\",\n    \"paper\": {},\n    \"seed\": {},\n    \"traced\": {},\n    \"checked\": {},\n    \"shards\": {},\n    \"runs\": [",
+        "  {{\n    \"label\": \"{}\",\n    \"scale\": \"{scale}\",\n    \"paper\": {},\n    \"seed\": {},\n    \"traced\": {},\n    \"checked\": {},\n    \"runs\": [",
         args.label,
         args.opts.paper_machine,
         args.opts.seed,
         args.traced,
         args.checked,
-        args.opts.shards.map_or("null".into(), |n: usize| n.to_string()),
     );
     let (mut ev_tot, mut cy_tot, mut wall_tot) = (0u64, 0u64, 0f64);
     for (i, r) in runs.iter().enumerate() {
@@ -242,7 +207,10 @@ fn write_record(args: &Args, runs: &[Measured]) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n\n{USAGE}");
+        std::process::exit(2);
+    });
     let mut runs = Vec::new();
     print_header();
     for (w, policy) in MIX {
@@ -253,7 +221,6 @@ fn main() {
             InputSize::Medium,
         );
         spec.check = args.checked;
-        spec.shards = args.opts.shards;
         // Best-of-N wall time: simulated results are identical across
         // repeats (determinism contract), so the minimum isolates the
         // simulator's speed from scheduler noise on a shared host.

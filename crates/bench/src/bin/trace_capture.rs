@@ -6,7 +6,7 @@
 //! # Capture one cell, writing a replayable trace (and optionally a
 //! # Perfetto/Chrome trace_event JSON next to it):
 //! trace_capture --workload ATF --size medium --policy locality-aware \
-//!     [--scale quick|full] [--paper] [--seed <n>] [--budget <n>] [--shards <n>] \
+//!     [--scale quick|full] [--paper] [--seed <n>] [--budget <n>] \
 //!     -o out.petr [--perfetto out.json]
 //!
 //! # Re-execute a capture's recipe and verify byte-identity of both the
@@ -16,14 +16,18 @@
 //! # Convert an existing capture for chrome://tracing / ui.perfetto.dev:
 //! trace_capture --export in.petr --perfetto out.json
 //! ```
+//!
+//! `--policy` takes the short names `host|pim|la|bd` or the long
+//! trace-metadata names. Bad arguments, unreadable traces and traces
+//! without a replayable recipe print `error: …` and exit with status 2.
 
 use pei_bench::tracecap::{self, CaptureSpec};
 use pei_bench::Scale;
 use pei_core::DispatchPolicy;
 use pei_trace::{perfetto, Trace};
 
-const USAGE: &str = "trace_capture --workload <W> --size <S> --policy <P> \
-     [--scale quick|full] [--paper] [--seed <n>] [--budget <n>] [--shards <n>] -o <out.petr> \
+const USAGE: &str = "usage: trace_capture --workload <W> --size <S> --policy <P> \
+     [--scale quick|full] [--paper] [--seed <n>] [--budget <n>] -o <out.petr> \
      [--perfetto <out.json>] | --replay <in.petr> | --export <in.petr> --perfetto <out.json>";
 
 struct Args {
@@ -34,96 +38,100 @@ struct Args {
     export: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let mut spec = CaptureSpec {
-        workload: pei_workloads::Workload::Atf,
-        size: pei_workloads::InputSize::Medium,
-        policy: DispatchPolicy::LocalityAware,
-        scale: Scale::Quick,
-        paper_machine: false,
-        seed: 0x5eed,
-        pei_budget: None,
-        shards: None,
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut a = Args {
+        spec: CaptureSpec {
+            workload: pei_workloads::Workload::Atf,
+            size: pei_workloads::InputSize::Medium,
+            policy: DispatchPolicy::LocalityAware,
+            scale: Scale::Quick,
+            paper_machine: false,
+            seed: 0x5eed,
+            pei_budget: None,
+        },
+        out: None,
+        perfetto: None,
+        replay: None,
+        export: None,
     };
-    let mut out = None;
-    let mut perfetto = None;
-    let mut replay = None;
-    let mut export = None;
-    let mut args = std::env::args().skip(1);
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} needs a value\nusage: {USAGE}"))
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
+    let mut argv = argv.into_iter();
+    while let Some(flag) = argv.next() {
+        let mut value = || argv.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
             "--workload" => {
-                let v = next(&mut args, "--workload");
-                spec.workload = tracecap::parse_workload(&v)
-                    .unwrap_or_else(|| panic!("unknown workload `{v}` (ATF, BFS, …, SVM)"));
+                let v = value()?;
+                a.spec.workload = tracecap::parse_workload(&v)
+                    .ok_or_else(|| format!("unknown workload `{v}` (ATF, BFS, …, SVM)"))?;
             }
             "--size" => {
-                let v = next(&mut args, "--size");
-                spec.size = tracecap::parse_size(&v)
-                    .unwrap_or_else(|| panic!("unknown size `{v}` (small|medium|large)"));
+                let v = value()?;
+                a.spec.size = tracecap::parse_size(&v)
+                    .ok_or_else(|| format!("unknown size `{v}` (small|medium|large)"))?;
             }
             "--policy" => {
-                let v = next(&mut args, "--policy");
-                spec.policy = tracecap::parse_policy(&v).unwrap_or_else(|| {
-                    panic!("unknown policy `{v}` (host-only|pim-only|locality-aware|locality-aware-balanced)")
-                });
+                let v = value()?;
+                a.spec.policy = tracecap::parse_policy_short(&v).ok_or_else(|| {
+                    format!("unknown policy `{v}` (host|pim|la|bd or their long names)")
+                })?;
             }
             "--scale" => {
-                let v = next(&mut args, "--scale");
-                spec.scale =
-                    Scale::parse(&v).unwrap_or_else(|| panic!("unknown scale `{v}` (quick|full)"));
+                let v = value()?;
+                a.spec.scale =
+                    Scale::parse(&v).ok_or_else(|| format!("unknown scale `{v}` (quick|full)"))?;
             }
-            "--paper" => spec.paper_machine = true,
+            "--paper" => a.spec.paper_machine = true,
             "--seed" => {
-                spec.seed = next(&mut args, "--seed")
+                let v = value()?;
+                a.spec.seed = v
                     .parse()
-                    .expect("seed must be an integer");
+                    .map_err(|_| format!("--seed must be an integer, got `{v}`"))?;
             }
             "--budget" => {
-                spec.pei_budget = Some(
-                    next(&mut args, "--budget")
-                        .parse()
-                        .expect("budget must be an integer"),
+                let v = value()?;
+                a.spec.pei_budget = Some(
+                    v.parse()
+                        .map_err(|_| format!("--budget must be an integer, got `{v}`"))?,
                 );
             }
-            "--shards" => {
-                let n: usize = next(&mut args, "--shards")
-                    .parse()
-                    .expect("shards must be an integer");
-                assert!(n >= 1, "--shards must be at least 1");
-                spec.shards = Some(n);
-            }
-            "-o" | "--out" => out = Some(next(&mut args, "-o")),
-            "--perfetto" => perfetto = Some(next(&mut args, "--perfetto")),
-            "--replay" => replay = Some(next(&mut args, "--replay")),
-            "--export" => export = Some(next(&mut args, "--export")),
-            other => panic!("unknown argument `{other}`\nusage: {USAGE}"),
+            "-o" | "--out" => a.out = Some(value()?),
+            "--perfetto" => a.perfetto = Some(value()?),
+            "--replay" => a.replay = Some(value()?),
+            "--export" => a.export = Some(value()?),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Args {
-        spec,
-        out,
-        perfetto,
-        replay,
-        export,
+    if a.export.is_some() && a.perfetto.is_none() {
+        return Err("--export needs --perfetto <out.json>".into());
     }
+    if a.replay.is_none() && a.export.is_none() && a.out.is_none() {
+        return Err("capture mode needs -o <out.petr>".into());
+    }
+    Ok(a)
+}
+
+/// Prints `error: {msg}` and exits with status 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
 fn load(path: &str) -> Trace {
     Trace::load(std::path::Path::new(path))
-        .unwrap_or_else(|e| panic!("cannot load trace {path}: {e}"))
+        .unwrap_or_else(|e| fail(&format!("cannot load trace {path}: {e}")))
+}
+
+fn write(path: &str, bytes: impl AsRef<[u8]>) {
+    std::fs::write(path, bytes).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
 }
 
 fn main() {
-    let args = parse_args();
+    let args =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| fail(&format!("{e}\n\n{USAGE}")));
 
     if let Some(path) = &args.replay {
         let t = load(path);
-        let r = tracecap::replay(&t).unwrap_or_else(|e| panic!("cannot replay {path}: {e}"));
+        let r =
+            tracecap::replay(&t).unwrap_or_else(|e| fail(&format!("cannot replay {path}: {e}")));
         println!("replayed {}: {} records", r.spec, t.records.len());
         if let Some(d) = &r.divergence {
             println!("event stream DIVERGED: {d}");
@@ -145,23 +153,16 @@ fn main() {
     }
 
     if let Some(path) = &args.export {
-        let json_path = args
-            .perfetto
-            .as_deref()
-            .unwrap_or_else(|| panic!("--export needs --perfetto <out.json>\nusage: {USAGE}"));
+        let json_path = args.perfetto.as_deref().expect("checked by parse_args");
         let t = load(path);
-        let json = perfetto::chrome_trace_json(&t);
-        std::fs::write(json_path, json).unwrap_or_else(|e| panic!("cannot write {json_path}: {e}"));
+        write(json_path, perfetto::chrome_trace_json(&t));
         println!("exported {} records to {json_path}", t.records.len());
         return;
     }
 
-    let out = args
-        .out
-        .as_deref()
-        .unwrap_or_else(|| panic!("capture mode needs -o <out.petr>\nusage: {USAGE}"));
+    let out = args.out.as_deref().expect("checked by parse_args");
     let (result, trace) = args.spec.capture();
-    std::fs::write(out, trace.to_bytes()).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    write(out, trace.to_bytes());
     println!(
         "captured {}: {} records ({} dropped), {} cycles, wrote {out}",
         args.spec,
@@ -170,8 +171,7 @@ fn main() {
         result.cycles
     );
     if let Some(json_path) = &args.perfetto {
-        let json = perfetto::chrome_trace_json(&trace);
-        std::fs::write(json_path, json).unwrap_or_else(|e| panic!("cannot write {json_path}: {e}"));
+        write(json_path, perfetto::chrome_trace_json(&trace));
         println!("exported Perfetto JSON to {json_path}");
     }
 }

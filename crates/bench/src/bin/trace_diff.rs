@@ -11,19 +11,22 @@
 //! "the figures moved" into "the first difference is at cycle N in
 //! vault3". Comparison resolves interned names, so two captures with
 //! differently ordered string tables still compare equal if they
-//! describe the same event stream.
+//! describe the same event stream. Usage errors and unreadable traces
+//! print `error: …` and exit 2.
 
 use pei_trace::Trace;
 
 fn load(path: &str) -> Trace {
-    Trace::load(std::path::Path::new(path))
-        .unwrap_or_else(|e| panic!("cannot load trace {path}: {e}"))
+    Trace::load(std::path::Path::new(path)).unwrap_or_else(|e| {
+        eprintln!("error: cannot load trace {path}: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let [left, right] = args.as_slice() else {
-        eprintln!("usage: trace_diff <left.petr> <right.petr>");
+        eprintln!("error: expected two trace paths\n\nusage: trace_diff <left.petr> <right.petr>");
         std::process::exit(2);
     };
     let a = load(left);

@@ -12,18 +12,17 @@
 //! * `--jobs <n>` — worker threads for the experiment grid (default:
 //!   available parallelism). Tables are byte-identical for every value —
 //!   see [`runner`] and the determinism contract in EXPERIMENTS.md;
-//! * `--shards <n>` — run every cell on the sharded engine
-//!   (`System::run_sharded`) with `n` threads: the machine splits into
-//!   a host shard plus one shard per HMC cube exchanging messages at
-//!   epoch barriers (DESIGN.md §10). Results are byte-identical for
-//!   every `n >= 1`; intra-run parallelism composes with `--jobs`
-//!   (total threads ≈ jobs × shards, so trade one against the other);
+//! * `--trace <path>` — also capture the binary's representative cell
+//!   as a `.petr` event trace (see [`tracecap`]);
 //! * `--check` — checked mode: every run sweeps the simulator's
 //!   cross-component invariant auditors (MESI, MSHR leaks, flit/credit
 //!   conservation, operand accounting, event population; see
 //!   `pei_system::check` and DESIGN.md §9), and failed cells surface
 //!   structured failure reports on stderr while sibling cells keep
 //!   running.
+//!
+//! A bad argument prints `error: …` and the usage to stderr and exits
+//! with status 2 ([`ExpOptions::from_args`]).
 //!
 //! Binaries describe their grid as [`runner::RunSpec`]s collected into a
 //! [`runner::Batch`], run it once, and print from the ordered results.
@@ -41,7 +40,7 @@ pub mod service;
 pub mod tracecap;
 
 use pei_core::DispatchPolicy;
-use pei_system::{MachineConfig, RunResult, System};
+use pei_system::MachineConfig;
 use pei_workloads::{InputSize, Workload, WorkloadParams};
 
 /// Simulation effort per run.
@@ -84,13 +83,6 @@ pub struct ExpOptions {
     /// Worker threads for the experiment grid (`>= 1`). Affects
     /// wall-clock time only, never results.
     pub jobs: usize,
-    /// Run every cell on the sharded engine with this many threads
-    /// (`System::run_sharded`; see DESIGN.md §10). `None` uses the
-    /// sequential engine. Results are identical for every `Some(n)`,
-    /// but the sharded schedule is a *different* (equally valid)
-    /// event ordering than the sequential one, so this is an explicit
-    /// opt-in rather than a default.
-    pub shards: Option<usize>,
     /// If set, also capture the binary's representative cell as an
     /// event trace (`.petr`, see [`tracecap`]) at this path.
     pub trace: Option<std::path::PathBuf>,
@@ -110,7 +102,6 @@ impl Default for ExpOptions {
             paper_machine: false,
             seed: 0x5eed,
             jobs: default_jobs(),
-            shards: None,
             trace: None,
             check: false,
         }
@@ -124,59 +115,58 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
+/// Usage line of the flags [`ExpOptions::parse`] accepts.
+const USAGE: &str = "usage: <figure binary> [--scale quick|full] [--paper] [--seed N] \
+                         [--jobs N] [--trace PATH] [--check]";
+
 impl ExpOptions {
-    /// Parses `std::env::args()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on unknown arguments.
+    /// Parses `std::env::args()`; on a bad argument prints `error: …`
+    /// and the usage line to stderr and exits with status 2.
     pub fn from_args() -> Self {
+        ExpOptions::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n\n{USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses figure-binary arguments (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// Names the offending argument: an unknown flag, a missing value,
+    /// or a value that does not parse.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<ExpOptions, String> {
         let mut opts = ExpOptions::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{a} needs a value"));
             match a.as_str() {
                 "--scale" => {
-                    let v = args.next().expect("--scale needs quick|full");
+                    let v = value()?;
                     opts.scale = Scale::parse(&v)
-                        .unwrap_or_else(|| panic!("unknown scale `{v}` (quick|full)"));
+                        .ok_or_else(|| format!("unknown scale `{v}` (quick|full)"))?;
                 }
                 "--paper" => opts.paper_machine = true,
                 "--seed" => {
-                    opts.seed = args
-                        .next()
-                        .expect("--seed needs a number")
+                    let v = value()?;
+                    opts.seed = v
                         .parse()
-                        .expect("seed must be an integer");
+                        .map_err(|_| format!("--seed must be an integer, got `{v}`"))?;
                 }
                 "--jobs" => {
-                    opts.jobs = args
-                        .next()
-                        .expect("--jobs needs a number")
+                    let v = value()?;
+                    opts.jobs = v
                         .parse()
-                        .expect("jobs must be an integer");
-                    assert!(opts.jobs >= 1, "--jobs must be at least 1");
+                        .ok()
+                        .filter(|&n| n >= 1)
+                        .ok_or_else(|| format!("--jobs must be an integer >= 1, got `{v}`"))?;
                 }
-                "--shards" => {
-                    let n: usize = args
-                        .next()
-                        .expect("--shards needs a number")
-                        .parse()
-                        .expect("shards must be an integer");
-                    assert!(n >= 1, "--shards must be at least 1");
-                    opts.shards = Some(n);
-                }
-                "--trace" => {
-                    opts.trace = Some(args.next().expect("--trace needs a path").into());
-                }
+                "--trace" => opts.trace = Some(value()?.into()),
                 "--check" => opts.check = true,
-                other => {
-                    panic!(
-                        "unknown argument `{other}` (--scale, --paper, --seed, --jobs, --shards, --trace, --check)"
-                    )
-                }
+                other => return Err(format!("unknown argument `{other}`")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// The Ideal-Host reference machine (§7) at the chosen scale.
@@ -213,43 +203,6 @@ impl ExpOptions {
 /// Upper bound on simulated cycles before declaring a run stuck.
 pub const CYCLE_LIMIT: u64 = 50_000_000_000;
 
-/// Runs `workload` at `size` under `policy`, returning the result.
-pub fn run_one(
-    opts: &ExpOptions,
-    workload: Workload,
-    size: InputSize,
-    policy: DispatchPolicy,
-) -> RunResult {
-    let params = opts.workload_params();
-    let (store, trace) = workload.build(size, &params);
-    run_trace(opts, store, trace, policy)
-}
-
-/// Runs a prepared `(store, trace)` pair under `policy`.
-pub fn run_trace(
-    opts: &ExpOptions,
-    store: pei_mem::BackingStore,
-    trace: Box<dyn pei_cpu::trace::PhasedTrace>,
-    policy: DispatchPolicy,
-) -> RunResult {
-    let cfg = opts.machine(policy);
-    let mut sys = System::new(cfg, store);
-    sys.add_workload(trace, (0..cfg.cores).collect());
-    if opts.check {
-        sys.enable_checks(pei_system::CheckConfig::default());
-    }
-    finish(opts, sys)
-}
-
-/// Drives a prepared system to completion on whichever engine the
-/// options selected: sequential by default, sharded under `--shards`.
-fn finish(opts: &ExpOptions, mut sys: System) -> RunResult {
-    match opts.shards {
-        Some(n) => sys.run_sharded(CYCLE_LIMIT, n),
-        None => sys.run(CYCLE_LIMIT),
-    }
-}
-
 /// If `--trace <path>` was given, captures the binary's representative
 /// cell — `workload` at `size` under `policy`, at the options' scale and
 /// seed — as a replayable `.petr` event trace at that path (see
@@ -271,7 +224,6 @@ pub fn write_trace_if_requested(
         paper_machine: opts.paper_machine,
         seed: opts.seed,
         pei_budget: None,
-        shards: opts.shards,
     };
     let (_, trace) = spec.capture();
     std::fs::write(path, trace.to_bytes())
@@ -283,19 +235,6 @@ pub fn write_trace_if_requested(
         spec,
         path.display()
     );
-}
-
-/// Runs with the Ideal-Host reference configuration (§7).
-pub fn run_ideal_host(opts: &ExpOptions, workload: Workload, size: InputSize) -> RunResult {
-    let params = opts.workload_params();
-    let (store, trace) = workload.build(size, &params);
-    let cfg = opts.machine(DispatchPolicy::HostOnly).ideal_host();
-    let mut sys = System::new(cfg, store);
-    sys.add_workload(trace, (0..cfg.cores).collect());
-    if opts.check {
-        sys.enable_checks(pei_system::CheckConfig::default());
-    }
-    finish(opts, sys)
 }
 
 /// Geometric mean.

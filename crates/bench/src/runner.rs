@@ -118,11 +118,6 @@ pub struct RunSpec {
     /// Deterministic fault injection for this cell (test harness and
     /// checked-mode validation; `None` in every real experiment).
     pub fault: Option<FaultPlan>,
-    /// Run on the sharded engine with this many threads
-    /// (`System::run_sharded`, DESIGN.md §10) instead of the sequential
-    /// loop. Results are identical for every `Some(n)`;
-    /// [`Batch::run_with`] sets it from `--shards`.
-    pub shards: Option<usize>,
 }
 
 impl RunSpec {
@@ -140,7 +135,6 @@ impl RunSpec {
             max_cycles: CYCLE_LIMIT,
             check: false,
             fault: None,
-            shards: None,
         }
     }
 
@@ -165,7 +159,6 @@ impl RunSpec {
             max_cycles: CYCLE_LIMIT,
             check: false,
             fault: None,
-            shards: None,
         }
     }
 
@@ -185,7 +178,6 @@ impl RunSpec {
             max_cycles: CYCLE_LIMIT,
             check: false,
             fault: None,
-            shards: None,
         }
     }
 
@@ -244,16 +236,7 @@ impl RunSpec {
     pub fn run(&self) -> RunResult {
         let mut sys = self.build();
         self.arm(&mut sys);
-        self.drive(&mut sys)
-    }
-
-    /// Runs a built-and-armed machine on the engine this spec selects:
-    /// sequential, or sharded with `shards` threads.
-    fn drive(&self, sys: &mut System) -> RunResult {
-        match self.shards {
-            Some(n) => sys.run_sharded(self.max_cycles, n),
-            None => sys.run(self.max_cycles),
-        }
+        sys.run(self.max_cycles)
     }
 
     /// Executes this cell with `sink` attached as an event tracer,
@@ -267,7 +250,7 @@ impl RunSpec {
         let mut sys = self.build();
         sys.attach_tracer(sink);
         self.arm(&mut sys);
-        let result = self.drive(&mut sys);
+        let result = sys.run(self.max_cycles);
         let sink = sys.detach_tracer().expect("tracer was just attached");
         (result, sink)
     }
@@ -329,17 +312,13 @@ impl Batch {
     }
 
     /// Like [`run`](Batch::run), but driven by the shared command-line
-    /// options: `--jobs` picks the worker count, `--check` turns on
-    /// checked mode for every cell, and `--shards` moves every cell
-    /// onto the sharded engine. The one-line change that gives a figure
-    /// binary the full sanitizer and parallel-engine surface.
+    /// options: `--jobs` picks the worker count and `--check` turns on
+    /// checked mode for every cell. The one-line change that gives a
+    /// figure binary the full sanitizer surface.
     pub fn run_with(mut self, opts: &ExpOptions) -> Vec<RunResult> {
-        for spec in &mut self.specs {
-            if opts.check {
+        if opts.check {
+            for spec in &mut self.specs {
                 spec.check = true;
-            }
-            if opts.shards.is_some() {
-                spec.shards = opts.shards;
             }
         }
         run_specs(&self.specs, opts.jobs)
@@ -462,25 +441,6 @@ mod tests {
         let results = batch.run(2);
         assert_eq!(results.len(), idx.len());
         assert_eq!(idx, (0..results.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sharded_specs_are_thread_count_invariant() {
-        // `--shards 1` and `--shards 4` must agree cell for cell (the
-        // sequential engine may legally order same-cycle events
-        // differently, so it is not part of this comparison).
-        let sharded = |n: usize| {
-            let mut specs = tiny_specs();
-            for s in &mut specs {
-                s.shards = Some(n);
-            }
-            run_specs(&specs, 1)
-        };
-        for (a, b) in sharded(1).iter().zip(&sharded(4)) {
-            assert_eq!(a.cycles, b.cycles);
-            assert_eq!(a.instructions, b.instructions);
-            assert_eq!(a.stats, b.stats);
-        }
     }
 
     /// A four-policy grid: each workload's cells share their input and

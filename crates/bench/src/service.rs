@@ -9,12 +9,14 @@
 //! * [`run_bounded`] runs one job cold, sliced so that a cancel flag and
 //!   a wall-clock deadline can stop it between slices. A job that
 //!   completes is byte-identical to [`RunSpec::run`] — the daemon's
-//!   byte-identity contract rests on that.
+//!   byte-identity contract rests on that. Jobs that request a `.petr`
+//!   capture run the same way with an event tracer attached.
 
 use crate::runner::RunSpec;
 use crate::tracecap::{parse_policy_short, parse_size, parse_workload, CaptureSpec};
 use crate::{ExpOptions, Scale};
 use pei_system::{FaultKind, FaultPlan, RunResult};
+use pei_trace::TraceSink;
 use pei_types::wire::Recipe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -83,11 +85,6 @@ pub fn resolve_recipe(recipe: &Recipe) -> Result<RunSpec, String> {
     }
     let mut spec = RunSpec::sized(opts.machine(policy), params, workload, size);
     spec.check = recipe.check;
-    spec.shards = match recipe.shards {
-        None => None,
-        Some(0) => return Err("`shards` must be at least 1".to_owned()),
-        Some(n) => Some(n as usize),
-    };
     if !recipe.fault_kinds.is_empty() {
         let mut plan = FaultPlan::new(recipe.fault_seed.unwrap_or(recipe.seed));
         for name in &recipe.fault_kinds {
@@ -125,11 +122,6 @@ pub fn resolve_capture(recipe: &Recipe) -> Result<CaptureSpec, String> {
         paper_machine: recipe.paper,
         seed: recipe.seed,
         pei_budget: recipe.budget,
-        shards: match recipe.shards {
-            None => None,
-            Some(0) => return Err("`shards` must be at least 1".to_owned()),
-            Some(n) => Some(n as usize),
-        },
     })
 }
 
@@ -178,15 +170,18 @@ fn resolve_vocabulary(
 /// explicit request). Slicing never changes a result: a run that
 /// completes is byte-identical to [`RunSpec::run`].
 ///
-/// Sharded specs (`spec.shards`) can't pause mid-run, so for them both
-/// conditions are checked only before the run starts.
+/// `sink`, if given, is attached as the machine's event tracer and a
+/// completed run hands it back detached. Tracing only observes and a
+/// slice bound never reorders events, so the result and the captured
+/// records equal [`RunSpec::run_traced`]'s.
 pub fn run_bounded(
     spec: &RunSpec,
+    sink: Option<Box<dyn TraceSink>>,
     slice: u64,
     cancel: &AtomicBool,
     deadline: Option<Instant>,
     mut progress: impl FnMut(u64),
-) -> Result<RunResult, Stopped> {
+) -> Result<(RunResult, Option<Box<dyn TraceSink>>), Stopped> {
     let expired = || deadline.is_some_and(|d| Instant::now() >= d);
     if cancel.load(Ordering::Relaxed) {
         return Err(Stopped::Cancelled);
@@ -195,10 +190,10 @@ pub fn run_bounded(
         return Err(Stopped::DeadlineExceeded);
     }
     let mut sys = spec.build();
-    spec.arm(&mut sys);
-    if let Some(n) = spec.shards {
-        return Ok(sys.run_sharded(spec.max_cycles, n));
+    if let Some(sink) = sink {
+        sys.attach_tracer(sink);
     }
+    spec.arm(&mut sys);
     // The engine only understands one stop flag, so compose both
     // conditions into `halt` from inside the slice-boundary hook and
     // remember which tripped first.
@@ -214,7 +209,7 @@ pub fn run_bounded(
         }
     });
     match out {
-        Some(result) => Ok(result),
+        Some(result) => Ok((result, sys.detach_tracer())),
         None if deadline_hit => Err(Stopped::DeadlineExceeded),
         None => Err(Stopped::Cancelled),
     }
@@ -261,9 +256,6 @@ mod tests {
         r = quick_recipe("la");
         r.scale = "epic".into();
         assert!(resolve_recipe(&r).unwrap_err().contains("scale"));
-        r = quick_recipe("la");
-        r.shards = Some(0);
-        assert!(resolve_recipe(&r).unwrap_err().contains("shards"));
         r = quick_recipe("la");
         r.fault_seed = Some(1);
         assert!(resolve_recipe(&r).unwrap_err().contains("fault_kinds"));
@@ -322,15 +314,15 @@ mod tests {
 
         // Cancel a job mid-run (flag raised from the progress hook).
         let cancel = AtomicBool::new(false);
-        let out = run_bounded(&la, 200, &cancel, None, |_| {
+        let out = run_bounded(&la, None, 200, &cancel, None, |_| {
             cancel.store(true, Ordering::Relaxed);
         });
-        assert_eq!(out.unwrap_err(), Stopped::Cancelled);
+        assert_eq!(out.err(), Some(Stopped::Cancelled));
 
         // The process-wide input cache keeps the job's graph, and the
         // next job reproduces the reference byte-for-byte.
         assert!(pei_workloads::cache::len() >= 1);
-        let after = run_bounded(&la, 200, &never, None, |_| ()).unwrap();
+        let (after, _) = run_bounded(&la, None, 200, &never, None, |_| ()).unwrap();
         assert_eq!(after.stats, reference.stats);
     }
 
@@ -344,8 +336,15 @@ mod tests {
         // machine: a spec whose build would panic proves it.
         let mut unbuildable = la.clone();
         unbuildable.cfg.cores = 0;
-        let out = run_bounded(&unbuildable, 200, &never, Some(Instant::now()), |_| ());
-        assert_eq!(out.unwrap_err(), Stopped::DeadlineExceeded);
+        let out = run_bounded(
+            &unbuildable,
+            None,
+            200,
+            &never,
+            Some(Instant::now()),
+            |_| (),
+        );
+        assert_eq!(out.err(), Some(Stopped::DeadlineExceeded));
 
         // A deadline tripping mid-run stops at a slice boundary. (50µs
         // lapses
@@ -353,41 +352,28 @@ mod tests {
         // slice-boundary hook notices — the pre-check already passed.)
         let soon = Instant::now() + std::time::Duration::from_micros(50);
         let mut ticks = 0u64;
-        let out = run_bounded(&la, 50, &never, Some(soon), |_| ticks += 1);
-        assert_eq!(out.unwrap_err(), Stopped::DeadlineExceeded);
+        let out = run_bounded(&la, None, 50, &never, Some(soon), |_| ticks += 1);
+        assert_eq!(out.err(), Some(Stopped::DeadlineExceeded));
         assert!(ticks > 0, "the run got at least one slice in");
 
         // Cancellation wins over a lapsed deadline, and the next job
         // with no deadline at all reproduces run() byte-for-byte.
         let cancelled = AtomicBool::new(true);
-        let out = run_bounded(&la, 200, &cancelled, Some(Instant::now()), |_| ());
-        assert_eq!(out.unwrap_err(), Stopped::Cancelled);
-        let out = run_bounded(&la, 200, &never, None, |_| ());
-        assert_eq!(out.unwrap().stats, reference.stats);
+        let out = run_bounded(&la, None, 200, &cancelled, Some(Instant::now()), |_| ());
+        assert_eq!(out.err(), Some(Stopped::Cancelled));
+        let out = run_bounded(&la, None, 200, &never, None, |_| ());
+        assert_eq!(out.unwrap().0.stats, reference.stats);
     }
 
     #[test]
-    fn sharded_and_faulted_specs_run_bounded_like_run() {
+    fn faulted_specs_run_bounded_like_run() {
         // Fault plans and checked mode arm exactly as in RunSpec::run.
         let mut r = quick_recipe("la");
         r.check = true;
         r.fault_kinds = vec!["delay-event".into()]; // negative control: completes
         let spec = resolve_recipe(&r).unwrap();
         let never = AtomicBool::new(false);
-        let out = run_bounded(&spec, 200, &never, None, |_| ()).unwrap();
+        let (out, _) = run_bounded(&spec, None, 200, &never, None, |_| ()).unwrap();
         assert_eq!(out.stats, spec.run().stats);
-
-        // Sharded runs can't pause, so they check the flag and the
-        // deadline only before they start.
-        let mut r = quick_recipe("la");
-        r.shards = Some(2);
-        let sharded = resolve_recipe(&r).unwrap();
-        let mut beats = 0;
-        let out = run_bounded(&sharded, 200, &never, None, |_| beats += 1).unwrap();
-        assert_eq!(out.stats, sharded.run().stats);
-        assert_eq!(beats, 0, "a sharded run is not sliced");
-        let set = AtomicBool::new(true);
-        let out = run_bounded(&sharded, 200, &set, None, |_| ());
-        assert_eq!(out.unwrap_err(), Stopped::Cancelled);
     }
 }

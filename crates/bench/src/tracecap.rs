@@ -105,30 +105,18 @@ pub struct CaptureSpec {
     /// Overrides the scale's PEI budget when set (tests use tiny
     /// budgets to keep the capture→replay loop fast).
     pub pei_budget: Option<u64>,
-    /// Capture ran on the sharded engine with this many threads
-    /// (`System::run_sharded`, DESIGN.md §10). Part of the recipe
-    /// because the sharded schedule is a different valid event ordering
-    /// than the sequential one: a replay must re-execute on the same
-    /// engine to be byte-comparable. The thread count itself doesn't
-    /// affect results, but is preserved verbatim for provenance.
-    pub shards: Option<usize>,
 }
 
 impl std::fmt::Display for CaptureSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}/{}/{} ({}{}{}, seed {})",
+            "{}/{}/{} ({}{}, seed {})",
             self.workload.label(),
             size_name(self.size),
             policy_name(self.policy),
             self.scale.name(),
             if self.paper_machine { ", paper" } else { "" },
-            if self.shards.is_some() {
-                ", sharded"
-            } else {
-                ""
-            },
             self.seed
         )
     }
@@ -147,9 +135,7 @@ impl CaptureSpec {
         if let Some(b) = self.pei_budget {
             params.pei_budget = b;
         }
-        let mut spec = RunSpec::sized(opts.machine(self.policy), params, self.workload, self.size);
-        spec.shards = self.shards;
-        spec
+        RunSpec::sized(opts.machine(self.policy), params, self.workload, self.size)
     }
 
     /// Writes this recipe into a sink's metadata table under `spec.*`
@@ -164,19 +150,25 @@ impl CaptureSpec {
         if let Some(b) = self.pei_budget {
             sink.meta("spec.budget", &b.to_string());
         }
-        if let Some(n) = self.shards {
-            sink.meta("spec.shards", &n.to_string());
-        }
     }
 
     /// Reads a recipe back out of a trace's metadata. `Err` names the
     /// missing or malformed key — traces captured without a recipe
     /// (sweep cells, hand-built systems) are diffable but not
-    /// replayable.
+    /// replayable. So are captures whose recipe records `spec.shards`:
+    /// they ran on the sharded engine, a different event order that no
+    /// longer exists, so re-running them could never match.
     pub fn from_trace(t: &Trace) -> Result<CaptureSpec, String> {
         fn get<'a>(t: &'a Trace, key: &str) -> Result<&'a str, String> {
             t.meta_get(key)
                 .ok_or_else(|| format!("trace has no `{key}` metadata (not a replayable capture)"))
+        }
+        if t.meta_get("spec.shards").is_some() {
+            return Err(
+                "trace recipe has `spec.shards`: it was captured on the sharded \
+                 engine, which was removed; it can be diffed but not replayed"
+                    .into(),
+            );
         }
         let workload = parse_workload(get(t, "spec.workload")?)
             .ok_or_else(|| "bad `spec.workload` metadata: unknown workload".to_string())?;
@@ -201,13 +193,6 @@ impl CaptureSpec {
                     .map_err(|_| "bad `spec.budget` metadata: not an integer".to_string())?,
             ),
         };
-        let shards = match t.meta_get("spec.shards") {
-            None => None,
-            Some(n) => Some(
-                n.parse()
-                    .map_err(|_| "bad `spec.shards` metadata: not an integer".to_string())?,
-            ),
-        };
         Ok(CaptureSpec {
             workload,
             size,
@@ -216,7 +201,6 @@ impl CaptureSpec {
             paper_machine,
             seed,
             pei_budget,
-            shards,
         })
     }
 
@@ -226,11 +210,20 @@ impl CaptureSpec {
     /// [`replay`] can verify byte-identity later.
     pub fn capture(&self) -> (RunResult, Trace) {
         let (result, mut sink) = self.to_run_spec().run_traced(Box::new(Recorder::new()));
-        self.write_meta(sink.as_mut());
-        sink.meta("stats", &result.stats.to_string());
-        let bytes = sink.to_petr().expect("a Recorder retains its capture");
+        let bytes = self
+            .seal(&result, sink.as_mut())
+            .expect("a Recorder retains its capture");
         let trace = Trace::from_bytes(&bytes).expect("a Recorder round-trips its own encoding");
         (result, trace)
+    }
+
+    /// Writes this recipe and `result`'s statistics report (under the
+    /// `stats` key) into `sink`'s metadata and returns the encoded
+    /// `.petr` — `None` if the sink retains no capture.
+    pub fn seal(&self, result: &RunResult, sink: &mut dyn TraceSink) -> Option<Vec<u8>> {
+        self.write_meta(sink);
+        sink.meta("stats", &result.stats.to_string());
+        sink.to_petr()
     }
 }
 
@@ -316,7 +309,6 @@ mod tests {
             paper_machine: true,
             seed: 0xfeed,
             pei_budget: Some(1234),
-            shards: Some(2),
         };
         let mut rec = Recorder::new();
         spec.write_meta(&mut rec);

@@ -144,63 +144,6 @@ fn wedged_vault_stalls_and_the_watchdog_names_it() {
 }
 
 #[test]
-fn stalled_sharded_windows_are_thread_count_invariant() {
-    // Pin the `FailureReport::save_window` contract for sharded runs:
-    // cube records merge into the host sink at every epoch barrier in
-    // deterministic order, so the window a stalled run saves is
-    // byte-identical at any thread count (and nonempty, since checked
-    // mode attaches the ring recorder).
-    let run = |threads: usize| {
-        let spec = tiny_spec(DispatchPolicy::LocalityAware);
-        let mut sys = spec.build();
-        let mut plan = FaultPlan::new(37);
-        for _ in 0..4 {
-            plan = plan.with(FaultKind::WedgeVault);
-        }
-        sys.inject_faults(&plan);
-        sys.enable_checks(tight_checks());
-        sys.run_sharded(spec.max_cycles, threads)
-    };
-    let (a, b) = (run(1), run(4));
-    let reports: Vec<&FailureReport> = [&a, &b]
-        .iter()
-        .map(|r| match &r.outcome {
-            RunOutcome::Stalled { report } => report.as_ref(),
-            other => panic!("expected a stall under the sharded engine, got {other:?}"),
-        })
-        .collect();
-    let dir = std::env::temp_dir();
-    let paths = [
-        dir.join("pei_stall_window_t1.petr"),
-        dir.join("pei_stall_window_t4.petr"),
-    ];
-    let mut written = Vec::new();
-    for (report, path) in reports.iter().zip(&paths) {
-        written.push(report.save_window(path).expect("save_window writes"));
-    }
-    assert!(written[0] > 0, "a checked stall must retain events");
-    assert_eq!(
-        written[0], written[1],
-        "record counts must not depend on thread count"
-    );
-    let bytes: Vec<Vec<u8>> = paths
-        .iter()
-        .map(|p| std::fs::read(p).expect("read window back"))
-        .collect();
-    assert_eq!(
-        bytes[0], bytes[1],
-        "saved windows must be byte-identical across thread counts"
-    );
-    // The saved file is a loadable trace carrying the failure meta.
-    let t = pei_trace::Trace::from_bytes(&bytes[0]).expect("window parses");
-    assert!(t.meta_get("failure.kind").is_some());
-    assert!(t.meta_get("failure.cycle").is_some());
-    for p in &paths {
-        let _ = std::fs::remove_file(p);
-    }
-}
-
-#[test]
 fn delayed_event_is_the_negative_control() {
     // A delay perturbs timing but violates nothing: the checked run
     // completes and no checker fires.

@@ -18,27 +18,24 @@ fn tiny_spec() -> CaptureSpec {
         paper_machine: false,
         seed: 0x5eed,
         pei_budget: Some(2_000),
-        shards: None,
     }
 }
 
-/// A sharded capture must replay on the sharded engine and reproduce
-/// byte-identically — the cross-engine leg of the determinism contract.
+/// A capture whose recipe records `spec.shards` ran on the removed
+/// sharded engine: replay refuses it by name, while diffing still reads
+/// it (comparing two traces needs no recipe).
 #[test]
-fn sharded_capture_replays_byte_identical() {
-    let spec = CaptureSpec {
-        shards: Some(2),
-        ..tiny_spec()
-    };
-    let (_, trace) = spec.capture();
-    assert_eq!(trace.meta_get("spec.shards"), Some("2"));
-    let replay = tracecap::replay(&trace).expect("capture carries a recipe");
-    assert_eq!(replay.spec, spec);
+fn sharded_capture_is_refused_by_name() {
+    let (_, mut trace) = tiny_spec().capture();
+    trace.meta.push(("spec.shards".into(), "2".into()));
+    let trace = Trace::from_bytes(&trace.to_bytes()).expect("encoding round-trips");
+    let err = CaptureSpec::from_trace(&trace).unwrap_err();
     assert!(
-        replay.identical(),
-        "sharded capture failed to replay: {:?}",
-        replay.divergence
+        err.contains("spec.shards") && err.contains("removed"),
+        "{err}"
     );
+    assert_eq!(tracecap::replay(&trace).unwrap_err(), err);
+    assert!(pei_trace::diff(&trace, &trace).is_none());
 }
 
 #[test]
@@ -126,7 +123,6 @@ fn fig6_quick_cell_replays() {
         paper_machine: false,
         seed: 0x5eed,
         pei_budget: None,
-        shards: None,
     };
     let (_, trace) = spec.capture();
     let replay = tracecap::replay(&trace).expect("capture carries a recipe");

@@ -129,20 +129,6 @@ impl HmcConfig {
         self.cubes * self.vaults_per_cube
     }
 
-    /// Cube owning the vault with flat index `vault` (the inverse of
-    /// [`VaultLoc::flat_index`]'s cube component).
-    ///
-    /// This is the shard-partition function of the parallel engine
-    /// (DESIGN.md §10): every vault- and memory-PCU-side event is owned
-    /// by exactly one cube shard, and [`HmcConfig::route`] maps each
-    /// block to exactly one cube, so no cube-to-cube traffic exists —
-    /// the only inter-shard edges are host→cube requests and cube→host
-    /// completions across the serialized off-chip link.
-    pub fn cube_of(&self, vault: usize) -> usize {
-        debug_assert!(vault < self.total_vaults());
-        vault / self.vaults_per_cube
-    }
-
     /// Routes a block address to its cube/vault/bank and row id.
     ///
     /// Blocks are interleaved across cubes, then vaults, then banks on
@@ -171,16 +157,6 @@ impl HmcConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cube_of_inverts_flat_index() {
-        let c = HmcConfig::paper();
-        for block in 0..1024u64 {
-            let (loc, _, _) = c.route(pei_types::BlockAddr(block));
-            let flat = loc.flat_index(c.vaults_per_cube);
-            assert_eq!(c.cube_of(flat), loc.cube.index());
-        }
-    }
 
     #[test]
     fn paper_geometry() {

@@ -4,8 +4,9 @@
 //! and input-graph construction. A daemon pays those costs once per
 //! *process*: the [`Daemon`] keeps the process-wide `Arc<Graph>` input
 //! cache alive across submissions, so a sweep's jobs on one input
-//! generate its graph once. Every job runs cold, through
-//! [`run_bounded`].
+//! generate its graph once. Every job runs cold and sliced, through
+//! [`run_bounded`] (with a recorder attached when the job asked for a
+//! `.petr` capture).
 //!
 //! The wire protocol is newline-delimited JSON over a Unix socket, TCP,
 //! or stdio; the frame types live in [`pei_types::wire`] and the
@@ -49,7 +50,7 @@ use pei_bench::runner::RunSpec;
 use pei_bench::service::{resolve_capture, resolve_recipe, run_bounded, Stopped};
 use pei_bench::tracecap::CaptureSpec;
 use pei_system::RunResult;
-use pei_trace::Recorder;
+use pei_trace::{Recorder, TraceSink};
 use pei_types::wire::{
     Priority, Recipe, Request, Response, ResultFrame, StatsFrame, TenantStat, WorkerStat,
 };
@@ -733,18 +734,28 @@ fn execute(shared: &Shared, job: Job) {
     if panic {
         panic!("injected {PANIC_WORKER_FAULT} fault (job {id})");
     }
-    let last_cycle = std::cell::Cell::new(0u64);
+    let mut last_cycle = 0u64;
+    let recorder = capture
+        .is_some()
+        .then(|| Box::new(Recorder::new()) as Box<dyn TraceSink>);
+    let outcome = run_bounded(
+        &spec,
+        recorder,
+        shared.slice,
+        &ctl.cancel,
+        deadline,
+        |cycle| {
+            last_cycle = cycle;
+            if !reply.send_progress(id, cycle) {
+                shared.dropped_progress.fetch_add(1, Ordering::Relaxed);
+            }
+        },
+    );
     let mut trace_path = None;
-    let outcome = if let Some((cs, path)) = capture {
-        // Traced runs are not sliced: cancellation and the deadline are
-        // checked only before the run starts.
-        if ctl.cancel.load(Ordering::Relaxed) {
-            Err(Stopped::Cancelled)
-        } else if deadline.is_some_and(|d| Instant::now() >= d) {
-            Err(Stopped::DeadlineExceeded)
-        } else {
-            match run_captured(&cs, &path) {
-                Ok(result) => {
+    let outcome = match (outcome, capture) {
+        (Ok((result, Some(sink))), Some((cs, path))) => {
+            match write_capture(&cs, &result, sink, &path) {
+                Ok(()) => {
                     trace_path = Some(path);
                     Ok(result)
                 }
@@ -761,13 +772,7 @@ fn execute(shared: &Shared, job: Job) {
                 }
             }
         }
-    } else {
-        run_bounded(&spec, shared.slice, &ctl.cancel, deadline, |cycle| {
-            last_cycle.set(cycle);
-            if !reply.send_progress(id, cycle) {
-                shared.dropped_progress.fetch_add(1, Ordering::Relaxed);
-            }
-        })
+        (outcome, _) => outcome.map(|(result, _)| result),
     };
     shared.jobs.lock().unwrap().remove(&id);
     match outcome {
@@ -782,7 +787,7 @@ fn execute(shared: &Shared, job: Job) {
             }
             reply.send(Response::Cancelled {
                 job: id,
-                cycle: last_cycle.get(),
+                cycle: last_cycle,
             });
         }
         Err(Stopped::DeadlineExceeded) => {
@@ -794,7 +799,7 @@ fn execute(shared: &Shared, job: Job) {
                 message: format!(
                     "job {id} exceeded its {ms} ms wall-clock deadline at cycle {}; \
                      the run stopped at a slice boundary and cached state is untouched",
-                    last_cycle.get()
+                    last_cycle
                 ),
                 violations: Vec::new(),
             });
@@ -817,17 +822,18 @@ fn execute(shared: &Shared, job: Job) {
     }
 }
 
-/// The traced path: the same capture flow as `pei_bench::tracecap`,
-/// with the encoded `.petr` written to the requested path.
-fn run_captured(cs: &CaptureSpec, path: &str) -> Result<RunResult, String> {
-    let (result, mut sink) = cs.to_run_spec().run_traced(Box::new(Recorder::new()));
-    cs.write_meta(sink.as_mut());
-    sink.meta("stats", &result.stats.to_string());
-    let bytes = sink
-        .to_petr()
+/// Seals a traced job's capture the way `CaptureSpec::capture` does and
+/// writes the encoded `.petr` to the requested path.
+fn write_capture(
+    cs: &CaptureSpec,
+    result: &RunResult,
+    mut sink: Box<dyn TraceSink>,
+    path: &str,
+) -> Result<(), String> {
+    let bytes = cs
+        .seal(result, sink.as_mut())
         .ok_or_else(|| "the recorder lost its capture".to_owned())?;
-    std::fs::write(path, bytes).map_err(|e| format!("can't write trace `{path}`: {e}"))?;
-    Ok(result)
+    std::fs::write(path, bytes).map_err(|e| format!("can't write trace `{path}`: {e}"))
 }
 
 /// Renders a completed run as its wire frame. The `stats` member is the

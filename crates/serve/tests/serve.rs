@@ -4,7 +4,7 @@
 //! malformed frames as structured errors with the daemon still alive,
 //! and cancellation that leaves the resident input cache intact.
 
-use pei_bench::service::resolve_recipe;
+use pei_bench::service::{resolve_capture, resolve_recipe};
 use pei_serve::{Daemon, ServeConfig, PANIC_WORKER_FAULT};
 use pei_trace::Trace;
 use pei_types::wire::{Priority, Recipe, Request, Response};
@@ -369,6 +369,17 @@ fn wait_for(out: &SharedBuf, what: &str, pred: impl Fn(&Response) -> bool) -> Re
 
 #[test]
 fn cancel_stops_queued_and_running_jobs_and_spares_the_cache() {
+    // Job 1 runs untraced in the first session and traced in the
+    // second: a traced job is sliced like any other, so it too stops
+    // mid-run and writes no capture.
+    cancel_mid_run(None);
+    let path = std::env::temp_dir().join("pei-serve-test-cancelled.petr");
+    let _ = std::fs::remove_file(&path);
+    cancel_mid_run(Some(path.to_string_lossy().into_owned()));
+    assert!(!path.exists(), "a cancelled traced job writes no capture");
+}
+
+fn cancel_mid_run(trace: Option<String>) {
     // One worker: job 1 (a run of over a second) occupies it, job 2
     // waits queued. Cancelling 2 immediately kills it before it starts
     // (cycle 0); job 1 is cancelled only after its first heartbeat
@@ -400,7 +411,7 @@ fn cancel_stops_queued_and_running_jobs_and_spares_the_cache() {
 
     send(Request::Submit {
         recipe: long.clone(),
-        trace: None,
+        trace,
         tenant: None,
         priority: Priority::Normal,
         deadline_ms: None,
@@ -472,10 +483,15 @@ fn malformed_frames_and_unknown_jobs_error_without_killing_the_session() {
     let mut script = Paced::new(vec![
         garbage,
         (0, Request::Cancel { job: 99 }),
+        submit(quick_recipe("la")),
         (0, Request::Shutdown),
     ]);
-    // Swap the first line for raw garbage the typed script can't express.
-    script.buf = b"{\"type\" oops\n".to_vec();
+    // Swap the first line for raw garbage the typed script can't express,
+    // then a recipe asking for the removed sharded engine, which no
+    // longer has a typed form either.
+    script.buf = b"{\"type\" oops\n\
+        {\"type\":\"submit\",\"recipe\":{\"workload\":\"atf\",\"shards\":2}}\n"
+        .to_vec();
 
     let out = SharedBuf::default();
     daemon.serve(BufReader::new(script), out.clone());
@@ -498,14 +514,28 @@ fn malformed_frames_and_unknown_jobs_error_without_killing_the_session() {
         }
         other => panic!("garbage should error, got {other:?}"),
     }
+    match &responses[1] {
+        Response::Error {
+            job: None,
+            kind,
+            message,
+            ..
+        } => {
+            assert_eq!(kind, "bad-frame");
+            assert!(message.contains("`shards`"), "names the member: {message}");
+        }
+        other => panic!("a `shards` recipe should error, got {other:?}"),
+    }
     // The stats frame from the placeholder request proves the session
-    // survived the garbage...
-    assert!(matches!(&responses[1], Response::Stats(s) if s.rejected == 1));
+    // survived both...
+    assert!(matches!(&responses[2], Response::Stats(s) if s.rejected == 2));
     // ...as does the unknown-job error after it...
-    match &responses[2] {
+    match &responses[3] {
         Response::Error { kind, .. } => assert_eq!(kind, "unknown-job"),
         other => panic!("cancelling job 99 should error, got {other:?}"),
     }
+    // ...the next submit runs...
+    assert!(matches!(terminal_for(&responses, 1), Response::Result(_)));
     // ...and shutdown still answers.
     assert!(matches!(responses.last(), Some(Response::Bye)));
 }
@@ -561,7 +591,8 @@ fn traced_submissions_write_a_replayable_capture() {
     let path = dir.join("atf-la.petr");
     let _ = std::fs::remove_file(&path);
 
-    let daemon = Daemon::start(ServeConfig::default());
+    // Sliced finely, so the traced job pauses many times on its way.
+    let daemon = Daemon::start(sliced_config(1));
     let responses = run_session(
         &daemon,
         vec![
@@ -591,6 +622,11 @@ fn traced_submissions_write_a_replayable_capture() {
         Some(frame.stats.as_str()),
         "the capture's stats metadata equals the wire stats"
     );
+    // The sliced daemon capture equals the one-shot capture of the same
+    // recipe: same event stream, same stats metadata.
+    let (_, one_shot) = resolve_capture(&quick_recipe("la")).unwrap().capture();
+    assert_eq!(pei_trace::diff(&trace, &one_shot), None);
+    assert_eq!(trace.meta_get("stats"), one_shot.meta_get("stats"));
     let _ = std::fs::remove_file(&path);
 }
 

@@ -136,41 +136,6 @@ impl MachineConfig {
         let chain = self.hmc.link_latency + self.hmc.hop_latency * self.hmc.cubes as Cycle;
         (dram_service + refresh).max(chain) + self.ctrl_latency
     }
-
-    /// Epoch window length `L` of the sharded engine, in host cycles
-    /// (DESIGN.md §10).
-    ///
-    /// The sharded driver runs a *skewed* pipeline: in super-step `s`
-    /// the host shard processes window `W_s = [sL, (s+1)L)` while every
-    /// cube shard concurrently processes `W_{s+1}`. That skew is safe
-    /// because the two inter-shard edges have asymmetric lookahead:
-    ///
-    /// - **Cube→host** completions carry zero lookahead (a memory-side
-    ///   PCU can finish a command in the cycle it observes the vault
-    ///   response), but a message timestamped inside `W_{s+1}` reaches
-    ///   the host *before* the host starts `W_{s+1}` in step `s+1` —
-    ///   the skew itself provides the slack.
-    /// - **Host→cube** requests always traverse the serialized off-chip
-    ///   link: the controller delivers them no earlier than
-    ///   `now + link_latency`. With `L = link_latency / 2`, a request
-    ///   issued in `W_s` lands at or after `(s+2)L`, which the cube
-    ///   processes in step `s+1` — after the barrier delivery.
-    ///
-    /// So `link_latency` is the lookahead that bounds the epoch, and
-    /// halving it is exactly what buys the cubes their one-window head
-    /// start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link_latency < 2` (no lookahead to shard on).
-    pub fn shard_epoch(&self) -> Cycle {
-        let epoch = self.hmc.link_latency / 2;
-        assert!(
-            epoch >= 1,
-            "sharded execution needs hmc.link_latency >= 2 for lookahead"
-        );
-        epoch
-    }
 }
 
 #[cfg(test)]

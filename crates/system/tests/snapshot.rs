@@ -1,10 +1,9 @@
 //! End-to-end tests of machine snapshot/restore (DESIGN.md §11): a
-//! restored run must be byte-identical to an uninterrupted one — for
-//! the sequential and the sharded engine, with and without checked
-//! mode — capture must be non-perturbing, a snapshot cut before the
-//! first PEI must restore soundly across dispatch policies within a
-//! monitor class, and malformed snapshot bytes must produce
-//! offset-reporting errors, never panics.
+//! restored run must be byte-identical to an uninterrupted one, with
+//! and without checked mode; capture must be non-perturbing; a
+//! snapshot cut before the first PEI must restore soundly across
+//! dispatch policies within a monitor class; and malformed snapshot
+//! bytes must produce offset-reporting errors, never panics.
 
 use pei_core::DispatchPolicy;
 use pei_cpu::trace::{Op, PhasedTrace, VecPhases};
@@ -52,12 +51,6 @@ fn fingerprint(r: &RunResult) -> String {
     )
 }
 
-fn two_cube_cfg() -> MachineConfig {
-    let mut cfg = MachineConfig::scaled(DispatchPolicy::LocalityAware);
-    cfg.hmc.cubes = 2;
-    cfg
-}
-
 #[test]
 fn sequential_snapshot_restore_is_byte_identical() {
     let cfg = MachineConfig::scaled(DispatchPolicy::LocalityAware);
@@ -71,7 +64,6 @@ fn sequential_snapshot_restore_is_byte_identical() {
     let at = paused.run_paused(LIMIT, Some(cut)).expect_paused();
     assert_eq!(at, cut);
     let snap = paused.snapshot().expect("snapshot a paused machine");
-    assert!(!snap.is_sharded());
     assert!(snap.cycle() >= cut, "resume point is at or after the cut");
 
     // Capture is non-perturbing: the paused machine, continued, matches
@@ -192,37 +184,11 @@ fn restore_rejects_a_machine_that_already_ran() {
 }
 
 #[test]
-fn sharded_pause_resume_is_byte_identical_across_thread_counts() {
-    let cfg = two_cube_cfg();
-    let reference = build(cfg, 64).run_sharded(LIMIT, 1);
-    assert!(reference.ok());
-    let cut = reference.cycles / 2;
-
-    // Pause under 3 threads, snapshot, resume the original under 1.
-    let mut paused = build(cfg, 64);
-    let at = paused
-        .run_sharded_paused(LIMIT, 3, Some(cut))
-        .expect_paused();
-    assert!(at >= cut, "the pause lands at the next epoch barrier");
-    let snap = paused.snapshot().expect("snapshot a sharded pause");
-    assert!(snap.is_sharded());
-    let continued = paused.run_sharded(LIMIT, 1);
-    assert_eq!(fingerprint(&continued), fingerprint(&reference));
-
-    // Restore into a twin and resume under yet another thread count.
-    let mut restored = build(cfg, 64);
-    restored.restore(&snap).expect("restore sharded pause");
-    let resumed = restored.run_sharded(LIMIT, 2);
-    assert_eq!(fingerprint(&resumed), fingerprint(&reference));
-}
-
-#[test]
 fn checked_runs_snapshot_and_restore_identically() {
     let check = CheckConfig {
         interval: 512,
         ..CheckConfig::default()
     };
-    // Sequential engine.
     let cfg = MachineConfig::scaled(DispatchPolicy::LocalityAware);
     let mut ref_sys = build(cfg, 48);
     ref_sys.enable_checks(check);
@@ -238,30 +204,6 @@ fn checked_runs_snapshot_and_restore_identically() {
     restored.enable_checks(check);
     restored.restore(&snap).expect("restore under checked mode");
     assert_eq!(fingerprint(&restored.run(LIMIT)), fingerprint(&reference));
-
-    // Sharded engine.
-    let cfg = two_cube_cfg();
-    let mut ref_sys = build(cfg, 64);
-    ref_sys.enable_checks(check);
-    let reference = ref_sys.run_sharded(LIMIT, 1);
-    assert!(reference.ok());
-
-    let mut paused = build(cfg, 64);
-    paused.enable_checks(check);
-    let cut = reference.cycles / 2;
-    paused
-        .run_sharded_paused(LIMIT, 2, Some(cut))
-        .expect_paused();
-    let snap = paused.snapshot().expect("snapshot sharded checked run");
-    let mut restored = build(cfg, 64);
-    restored.enable_checks(check);
-    restored
-        .restore(&snap)
-        .expect("restore sharded checked run");
-    assert_eq!(
-        fingerprint(&restored.run_sharded(LIMIT, 1)),
-        fingerprint(&reference)
-    );
 }
 
 #[test]

@@ -39,8 +39,12 @@ const DEFAULT_SEED: u64 = 0x5eed;
 
 /// A replayable simulation recipe as it travels on the wire: the same
 /// value set `pei-bench` serializes into `.petr` captures
-/// (workload/size/policy/scale/paper/seed/budget/shards), plus the
+/// (workload/size/policy/scale/paper/seed/budget), plus the
 /// checked-mode flag and an optional fault plan for sanitizer tests.
+///
+/// Unknown members are ignored, except `shards`: it selected the
+/// sharded engine, which was removed, and a submit carrying it is
+/// refused by name rather than run silently on the sequential engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recipe {
     /// Workload label (`atf`, `bfs`, `pr`, …), case-insensitive.
@@ -58,8 +62,6 @@ pub struct Recipe {
     pub seed: u64,
     /// Overrides the scale's PEI budget when set.
     pub budget: Option<u64>,
-    /// Run on the sharded engine with this many threads.
-    pub shards: Option<u64>,
     /// Checked mode: sweep the invariant auditors during the run.
     pub check: bool,
     /// Deterministic fault injection: the fault plan's seed. Only
@@ -81,7 +83,6 @@ impl Recipe {
             paper: false,
             seed: DEFAULT_SEED,
             budget: None,
-            shards: None,
             check: false,
             fault_seed: None,
             fault_kinds: Vec::new(),
@@ -99,9 +100,6 @@ impl Recipe {
         ];
         if let Some(b) = self.budget {
             m.push(("budget".to_owned(), Json::from(b)));
-        }
-        if let Some(n) = self.shards {
-            m.push(("shards".to_owned(), Json::from(n)));
         }
         if self.check {
             m.push(("check".to_owned(), Json::from(true)));
@@ -124,6 +122,11 @@ impl Recipe {
     }
 
     fn from_json(v: &Json) -> Result<Recipe, WireError> {
+        if v.get("shards").is_some() {
+            return Err(bad(
+                "recipe member `shards` is no longer accepted: the sharded engine was removed",
+            ));
+        }
         Ok(Recipe {
             workload: req_str(v, "workload")?,
             size: opt_str(v, "size")?.unwrap_or_else(|| "medium".to_owned()),
@@ -132,7 +135,6 @@ impl Recipe {
             paper: opt_bool(v, "paper")?.unwrap_or(false),
             seed: opt_u64(v, "seed")?.unwrap_or(DEFAULT_SEED),
             budget: opt_u64(v, "budget")?,
-            shards: opt_u64(v, "shards")?,
             check: opt_bool(v, "check")?.unwrap_or(false),
             fault_seed: opt_u64(v, "fault_seed")?,
             fault_kinds: match v.get("fault_kinds") {
@@ -816,7 +818,6 @@ mod tests {
             paper: true,
             seed: u64::MAX - 5,
             budget: Some(1234),
-            shards: Some(4),
             check: true,
             fault_seed: Some(9),
             fault_kinds: vec!["wedge-vault".into()],
@@ -1098,6 +1099,11 @@ mod tests {
         assert!(err.to_string().contains("object"), "{err}");
         let err = Response::decode(r#"{"type":"result","job":1}"#).unwrap_err();
         assert!(err.to_string().contains("offchip_flits"), "{err}");
+        // Unknown recipe members are ignored, but not `shards`: a submit
+        // asking for the removed sharded engine must not run on another.
+        let err = Request::decode(r#"{"type":"submit","recipe":{"workload":"pr","shards":2}}"#)
+            .unwrap_err();
+        assert!(err.to_string().contains("`shards`"), "{err}");
     }
 
     #[test]
