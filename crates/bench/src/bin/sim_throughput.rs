@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use pei_bench::runner::RunSpec;
 use pei_bench::tracecap::policy_name;
-use pei_bench::{ExpOptions, Scale};
+use pei_bench::{check_writable, ExpOptions, Scale};
 use pei_core::DispatchPolicy;
 use pei_trace::NullSink;
 use pei_workloads::{InputSize, Workload};
@@ -211,6 +211,10 @@ fn main() {
         eprintln!("error: {e}\n\n{USAGE}");
         std::process::exit(2);
     });
+    if let Err(e) = check_writable(std::path::Path::new(&args.out)) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let mut runs = Vec::new();
     print_header();
     for (w, policy) in MIX {

@@ -34,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bisect;
 pub mod runner;
 pub mod service;
 pub mod tracecap;
@@ -121,12 +120,19 @@ const USAGE: &str = "usage: <figure binary> [--scale quick|full] [--paper] [--se
 
 impl ExpOptions {
     /// Parses `std::env::args()`; on a bad argument prints `error: …`
-    /// and the usage line to stderr and exits with status 2.
+    /// and the usage line to stderr and exits with status 2. A
+    /// `--trace` path that cannot be written is refused the same way,
+    /// before any cell runs.
     pub fn from_args() -> Self {
-        ExpOptions::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        let opts = ExpOptions::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!("error: {e}\n\n{USAGE}");
             std::process::exit(2);
-        })
+        });
+        if let Err(e) = opts.trace.as_deref().map_or(Ok(()), check_writable) {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+        opts
     }
 
     /// Parses figure-binary arguments (without the program name).
@@ -198,6 +204,27 @@ impl ExpOptions {
             heap_base: WorkloadParams::DEFAULT_HEAP_BASE,
         }
     }
+}
+
+/// Checks that an output file can be written at `path`, so a bad path
+/// fails before a long run rather than after it. Opens the file for
+/// appending (an existing file keeps its contents); a file the check
+/// creates is removed again.
+///
+/// # Errors
+///
+/// Names the path and the I/O error, e.g. a missing directory.
+pub fn check_writable(path: &std::path::Path) -> Result<(), String> {
+    let existed = path.exists();
+    std::fs::OpenOptions::new()
+        .append(true)
+        .create(true)
+        .open(path)
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    if !existed {
+        let _ = std::fs::remove_file(path);
+    }
+    Ok(())
 }
 
 /// Upper bound on simulated cycles before declaring a run stuck.

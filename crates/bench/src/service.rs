@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn short_policy_names_resolve_including_bd() {
         // `bd` is the CLI name of the balanced policy (pei-sim -p bd,
-        // trace_bisect policy=bd); `lab` stays an alias for existing
+        // trace_capture --policy bd); `lab` stays an alias for existing
         // clients.
         for name in ["bd", "lab", "locality-aware-balanced"] {
             let spec = resolve_recipe(&quick_recipe(name)).unwrap();

@@ -1,7 +1,8 @@
 //! Bad command lines are errors, not panics: every harness binary that
 //! parses its own flags prints `error: …` on stderr and exits with
 //! status 2. That includes `--shards`, which selected the sharded
-//! engine before it was removed.
+//! engine before it was removed, and output paths that cannot be
+//! written, which are refused before any cell runs.
 
 use std::process::Command;
 
@@ -9,6 +10,8 @@ use std::process::Command;
 fn cases() -> Vec<(&'static str, Vec<String>)> {
     let missing = std::env::temp_dir().join("pei-cli-errors-missing.petr");
     let missing = missing.to_string_lossy().into_owned();
+    let no_dir = std::env::temp_dir().join("pei-cli-errors-no-such-dir");
+    let unwritable = |file: &str| no_dir.join(file).to_string_lossy().into_owned();
     let mut cases = vec![
         (env!("CARGO_BIN_EXE_fig6"), vec!["--bogus".to_owned()]),
         (
@@ -33,6 +36,14 @@ fn cases() -> Vec<(&'static str, Vec<String>)> {
             env!("CARGO_BIN_EXE_trace_diff"),
             vec![missing.clone(), missing],
         ),
+        (
+            env!("CARGO_BIN_EXE_fig10"),
+            vec!["--trace".into(), unwritable("x.petr")],
+        ),
+        (
+            env!("CARGO_BIN_EXE_sim_throughput"),
+            vec!["--out".into(), unwritable("x.json")],
+        ),
     ];
     for bin in [
         env!("CARGO_BIN_EXE_fig2"),
@@ -47,7 +58,6 @@ fn cases() -> Vec<(&'static str, Vec<String>)> {
         env!("CARGO_BIN_EXE_ablations"),
         env!("CARGO_BIN_EXE_sim_throughput"),
         env!("CARGO_BIN_EXE_trace_capture"),
-        env!("CARGO_BIN_EXE_trace_bisect"),
     ] {
         cases.push((bin, vec!["--shards".into(), "2".into()]));
     }

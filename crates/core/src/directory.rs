@@ -206,85 +206,6 @@ impl PimDirectory {
     pub const BITS_PER_ENTRY: usize = 13;
 }
 
-fn save_entry(e: &mut pei_types::snap::Encoder, en: &Entry) {
-    e.u32(en.readers);
-    e.bool(en.writer);
-    e.seq(en.queue.len());
-    for &(id, w) in &en.queue {
-        e.u64(id.0);
-        e.bool(w);
-    }
-}
-
-fn load_entry(d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<Entry> {
-    let readers = d.u32()?;
-    let writer = d.bool()?;
-    let n = d.seq(9)?;
-    let mut queue = VecDeque::with_capacity(n);
-    for _ in 0..n {
-        queue.push_back((ReqId(d.u64()?), d.bool()?));
-    }
-    Ok(Entry {
-        readers,
-        writer,
-        queue,
-    })
-}
-
-impl pei_types::snap::SnapshotState for PimDirectory {
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        e.seq(self.entries.len());
-        for en in &self.entries {
-            save_entry(e, en);
-        }
-        let mut ideal: Vec<_> = self.ideal_entries.iter().collect();
-        ideal.sort_by_key(|(b, _)| b.0);
-        e.seq(ideal.len());
-        for (b, en) in ideal {
-            e.u64(b.0);
-            save_entry(e, en);
-        }
-        let mut held: Vec<_> = self.held.iter().collect();
-        held.sort_by_key(|(id, _)| id.0);
-        e.seq(held.len());
-        for (id, &(b, w)) in held {
-            e.u64(id.0);
-            e.u64(b.0);
-            e.bool(w);
-        }
-        e.u64(self.grants);
-        e.u64(self.queued);
-        e.usize(self.peak_queue);
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        let n = d.seq(9)?;
-        pei_types::snap::check_len("PIM-directory entries", n, self.entries.len())?;
-        for en in &mut self.entries {
-            *en = load_entry(d)?;
-        }
-        let n = d.seq(17)?;
-        self.ideal_entries = FastMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let block = BlockAddr(d.u64()?);
-            let en = load_entry(d)?;
-            self.ideal_entries.insert(block, en);
-        }
-        let n = d.seq(17)?;
-        self.held = FastMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let id = ReqId(d.u64()?);
-            let block = BlockAddr(d.u64()?);
-            let writer = d.bool()?;
-            self.held.insert(id, (block, writer));
-        }
-        self.grants = d.u64()?;
-        self.queued = d.u64()?;
-        self.peak_queue = d.usize()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 impl PimDirectory {
     /// Test helper: ids currently *holding* (not queued) a lock on blocks

@@ -230,35 +230,6 @@ impl LocalityMonitor {
     }
 }
 
-impl pei_types::snap::SnapshotState for LocalityMonitor {
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        e.bool(self.ignore_enabled);
-        e.seq(self.entries.len());
-        for en in &self.entries {
-            e.bool(en.valid);
-            e.u16(en.partial_tag);
-            e.u64(en.full_tag);
-            e.bool(en.ignore);
-            e.u8(en.lru);
-        }
-        self.counters.save(e);
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        self.ignore_enabled = d.bool()?;
-        let n = d.seq(13)?;
-        pei_types::snap::check_len("locality-monitor entries", n, self.entries.len())?;
-        for en in &mut self.entries {
-            en.valid = d.bool()?;
-            en.partial_tag = d.u16()?;
-            en.full_tag = d.u64()?;
-            en.ignore = d.bool()?;
-            en.lru = d.u8()?;
-        }
-        self.counters.load(d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -530,92 +530,6 @@ impl MemPcu {
     }
 }
 
-impl pei_types::snap::SnapshotState for HostPcu {
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        self.compute.save(e);
-        let mut tasks: Vec<_> = self.tasks.iter().collect();
-        tasks.sort_by_key(|(id, _)| id.0);
-        e.seq(tasks.len());
-        for (id, t) in tasks {
-            e.u64(id.0);
-            e.u64(t.seq);
-            e.u8(t.op.opcode());
-            e.u64(t.target.0);
-            t.input.save(e);
-        }
-        e.usize(self.occupied);
-        e.u64(self.next_local);
-        self.counters.save(e);
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        self.compute.load(d)?;
-        let n = d.seq(26)?;
-        self.tasks = FastMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let id = ReqId(d.u64()?);
-            let seq = d.u64()?;
-            let code = d.u8()?;
-            let op = PimOpKind::from_opcode(code, d)?;
-            let target = Addr(d.u64()?);
-            let input = OperandValue::load(d)?;
-            self.tasks.insert(
-                id,
-                HostTask {
-                    seq,
-                    op,
-                    target,
-                    input,
-                },
-            );
-        }
-        self.occupied = d.usize()?;
-        self.next_local = d.u64()?;
-        self.counters.load(d)
-    }
-}
-
-impl pei_types::snap::SnapshotState for MemPcu {
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        self.compute.save(e);
-        let mut tasks: Vec<_> = self.tasks.iter().collect();
-        tasks.sort_by_key(|(id, _)| id.0);
-        e.seq(tasks.len());
-        for (id, t) in tasks {
-            e.u64(id.0);
-            t.cmd.save(e);
-            e.bool(t.wrote);
-        }
-        e.seq(self.waiting.len());
-        for cmd in &self.waiting {
-            cmd.save(e);
-        }
-        e.u64(self.next_local);
-        e.usize(self.peak_buffer);
-        self.counters.save(e);
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        self.compute.load(d)?;
-        let n = d.seq(27)?;
-        self.tasks = FastMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let id = ReqId(d.u64()?);
-            let cmd = PimCmd::load(d)?;
-            let wrote = d.bool()?;
-            self.tasks.insert(id, MemTask { cmd, wrote });
-        }
-        let n = d.seq(18)?;
-        self.waiting = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            self.waiting.push_back(PimCmd::load(d)?);
-        }
-        self.next_local = d.u64()?;
-        self.peak_buffer = d.usize()?;
-        self.counters.load(d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -166,85 +166,6 @@ pub enum PmuOut {
     },
 }
 
-impl PmuIn {
-    /// Appends the input to a snapshot stream (used by the system layer to
-    /// serialize in-flight events).
-    pub fn encode(&self, e: &mut pei_types::snap::Encoder) {
-        match self {
-            PmuIn::Request {
-                id,
-                core,
-                op,
-                target,
-                input,
-            } => {
-                e.tag(0);
-                e.u64(id.0);
-                e.u16(core.0);
-                e.u8(op.opcode());
-                e.u64(target.0);
-                input.save(e);
-            }
-            PmuIn::HostRelease { id } => {
-                e.tag(1);
-                e.u64(id.0);
-            }
-            PmuIn::FlushDone { id } => {
-                e.tag(2);
-                e.u64(id.0);
-            }
-            PmuIn::MemResult { out } => {
-                e.tag(3);
-                out.save(e);
-            }
-            PmuIn::Pfence { core } => {
-                e.tag(4);
-                e.u16(core.0);
-            }
-        }
-    }
-
-    /// Reads one input back from a snapshot stream.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation or an unknown variant tag.
-    pub fn decode(d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<PmuIn> {
-        let offset = d.offset();
-        Ok(match d.u8()? {
-            0 => PmuIn::Request {
-                id: ReqId(d.u64()?),
-                core: CoreId(d.u16()?),
-                op: {
-                    let code = d.u8()?;
-                    PimOpKind::from_opcode(code, d)?
-                },
-                target: Addr(d.u64()?),
-                input: OperandValue::load(d)?,
-            },
-            1 => PmuIn::HostRelease {
-                id: ReqId(d.u64()?),
-            },
-            2 => PmuIn::FlushDone {
-                id: ReqId(d.u64()?),
-            },
-            3 => PmuIn::MemResult {
-                out: PimOut::load(d)?,
-            },
-            4 => PmuIn::Pfence {
-                core: CoreId(d.u16()?),
-            },
-            found => {
-                return Err(pei_types::snap::SnapError::BadTag {
-                    offset,
-                    found,
-                    what: "PmuIn variant",
-                })
-            }
-        })
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TxnState {
     WaitLock,
@@ -556,98 +477,6 @@ impl Pmu {
         stats.add(format!("{prefix}dir.queued"), queued as f64);
         stats.add(format!("{prefix}dir.peak_queue"), peak as f64);
         self.mon.report(&format!("{prefix}mon."), stats);
-    }
-}
-
-impl TxnState {
-    fn encode(self) -> u8 {
-        match self {
-            TxnState::WaitLock => 0,
-            TxnState::HostRunning => 1,
-            TxnState::WaitFlush => 2,
-            TxnState::WaitMem => 3,
-        }
-    }
-
-    fn decode(d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<TxnState> {
-        let offset = d.offset();
-        Ok(match d.u8()? {
-            0 => TxnState::WaitLock,
-            1 => TxnState::HostRunning,
-            2 => TxnState::WaitFlush,
-            3 => TxnState::WaitMem,
-            found => {
-                return Err(pei_types::snap::SnapError::BadTag {
-                    offset,
-                    found,
-                    what: "PEI transaction state",
-                })
-            }
-        })
-    }
-}
-
-impl pei_types::snap::SnapshotState for Pmu {
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        // The grant scratch is drained within each `release` call, so it
-        // is always empty between events and is not serialized.
-        debug_assert!(self.grant_scratch.is_empty());
-        self.dir.save(e);
-        self.mon.save(e);
-        let mut txns: Vec<_> = self.txns.iter().collect();
-        txns.sort_by_key(|(id, _)| id.0);
-        e.seq(txns.len());
-        for (id, t) in txns {
-            e.u64(id.0);
-            e.u16(t.core.0);
-            e.u8(t.op.opcode());
-            e.u64(t.target.0);
-            t.input.save(e);
-            e.bool(t.writer);
-            e.u8(t.state.encode());
-        }
-        e.u64(self.outstanding_writers);
-        e.seq(self.fence_waiters.len());
-        for core in &self.fence_waiters {
-            e.u16(core.0);
-        }
-        self.counters.save(e);
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        self.dir.load(d)?;
-        self.mon.load(d)?;
-        let n = d.seq(21)?;
-        self.txns = FastMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let id = ReqId(d.u64()?);
-            let core = CoreId(d.u16()?);
-            let code = d.u8()?;
-            let op = PimOpKind::from_opcode(code, d)?;
-            let target = Addr(d.u64()?);
-            let input = OperandValue::load(d)?;
-            let writer = d.bool()?;
-            let state = TxnState::decode(d)?;
-            self.txns.insert(
-                id,
-                PeiTxn {
-                    core,
-                    op,
-                    target,
-                    input,
-                    writer,
-                    state,
-                },
-            );
-        }
-        self.outstanding_writers = d.u64()?;
-        let n = d.seq(2)?;
-        self.fence_waiters = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.fence_waiters.push(CoreId(d.u16()?));
-        }
-        self.grant_scratch.clear();
-        self.counters.load(d)
     }
 }
 

@@ -447,87 +447,6 @@ impl Core {
     }
 }
 
-impl pei_types::snap::SnapshotState for Core {
-    /// `id`, `cfg`, and `page_map` are construction parameters; the TLB
-    /// section is present exactly when virtual memory is enabled, and
-    /// the outstanding-id sets travel sorted so identical machine states
-    /// serialize to identical bytes.
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        e.seq(self.ops.len());
-        for op in &self.ops {
-            op.encode(e);
-        }
-        let mut mem: Vec<u64> = self.mem_outstanding.iter().map(|id| id.0).collect();
-        mem.sort_unstable();
-        e.seq(mem.len());
-        for id in mem {
-            e.u64(id);
-        }
-        e.u64(self.next_mem_local);
-        e.u64(self.pei_next_seq);
-        let mut peis: Vec<u64> = self.pei_outstanding.iter().copied().collect();
-        peis.sort_unstable();
-        e.seq(peis.len());
-        for s in peis {
-            e.u64(s);
-        }
-        e.usize(self.pei_credits_in_use);
-        e.bool(self.fence_wait);
-        e.bool(self.parked);
-        match &self.tlb {
-            Some(tlb) => {
-                e.bool(true);
-                tlb.save(e);
-            }
-            None => e.bool(false),
-        }
-        self.counters.save(e);
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        let ops = d.seq(1)?;
-        self.ops.clear();
-        for _ in 0..ops {
-            self.ops.push_back(Op::decode(d)?);
-        }
-        let mem = d.seq(8)?;
-        self.mem_outstanding.clear();
-        for _ in 0..mem {
-            self.mem_outstanding.insert(ReqId(d.u64()?));
-        }
-        self.next_mem_local = d.u64()?;
-        self.pei_next_seq = d.u64()?;
-        let peis = d.seq(8)?;
-        self.pei_outstanding.clear();
-        for _ in 0..peis {
-            self.pei_outstanding.insert(d.u64()?);
-        }
-        self.pei_credits_in_use = d.usize()?;
-        self.fence_wait = d.bool()?;
-        self.parked = d.bool()?;
-        let has_tlb = d.bool()?;
-        match (&mut self.tlb, has_tlb) {
-            (Some(tlb), true) => tlb.load(d)?,
-            (None, false) => {}
-            (mine, theirs) => {
-                return Err(pei_types::snap::SnapError::Mismatch {
-                    what: format!(
-                        "core {}: snapshot {} a TLB but this machine {}",
-                        self.id.0,
-                        if theirs { "carries" } else { "lacks" },
-                        if mine.is_some() {
-                            "has one"
-                        } else {
-                            "has none"
-                        },
-                    ),
-                })
-            }
-        }
-        self.counters.load(d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

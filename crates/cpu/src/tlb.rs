@@ -158,42 +158,6 @@ impl Tlb {
     }
 }
 
-impl pei_types::snap::SnapshotState for Tlb {
-    /// Entry order matters (lookup scans linearly; LRU ties break by
-    /// position), so entries travel in stored order.
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        e.seq(self.entries.len());
-        for entry in &self.entries {
-            e.u64(entry.vpn);
-            e.u32(entry.lru);
-        }
-        e.u32(self.clock);
-        e.u64(self.hits);
-        e.u64(self.misses);
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        let n = d.seq(12)?;
-        if n > self.cfg.entries {
-            return Err(d.bad(format!(
-                "TLB holds {n} entries but is configured for {}",
-                self.cfg.entries
-            )));
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            self.entries.push(TlbEntry {
-                vpn: d.u64()?,
-                lru: d.u32()?,
-            });
-        }
-        self.clock = d.u32()?;
-        self.hits = d.u64()?;
-        self.misses = d.u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -77,75 +77,6 @@ impl Op {
             Op::Barrier => 0,
         }
     }
-
-    /// Appends this op to a snapshot encoder. The tag scheme mirrors the
-    /// `.petr` recorded-trace format (`trace_io`): 0 = Compute, 1 = Load,
-    /// 2 = Store, 3 = Pei, 4 = Pfence, 5 = Barrier.
-    pub fn encode(&self, e: &mut pei_types::snap::Encoder) {
-        match self {
-            Op::Compute(n) => {
-                e.u8(0);
-                e.u32(*n);
-            }
-            Op::Load { addr, fence_prior } => {
-                e.u8(1);
-                e.u64(addr.0);
-                e.bool(*fence_prior);
-            }
-            Op::Store { addr } => {
-                e.u8(2);
-                e.u64(addr.0);
-            }
-            Op::Pei {
-                op,
-                target,
-                input,
-                dep_dist,
-            } => {
-                e.u8(3);
-                e.u8(op.opcode());
-                e.u64(target.0);
-                e.u16(*dep_dist);
-                input.save(e);
-            }
-            Op::Pfence => e.u8(4),
-            Op::Barrier => e.u8(5),
-        }
-    }
-
-    /// Inverse of [`encode`](Self::encode).
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation or an unknown tag/opcode/operand.
-    pub fn decode(d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<Op> {
-        let at = d.offset();
-        Ok(match d.u8()? {
-            0 => Op::Compute(d.u32()?),
-            1 => Op::Load {
-                addr: Addr(d.u64()?),
-                fence_prior: d.bool()?,
-            },
-            2 => Op::Store {
-                addr: Addr(d.u64()?),
-            },
-            3 => Op::Pei {
-                op: PimOpKind::from_opcode(d.u8()?, d)?,
-                target: Addr(d.u64()?),
-                dep_dist: d.u16()?,
-                input: OperandValue::load(d)?,
-            },
-            4 => Op::Pfence,
-            5 => Op::Barrier,
-            t => {
-                return Err(pei_types::snap::SnapError::BadTag {
-                    offset: at,
-                    found: t,
-                    what: "trace op",
-                })
-            }
-        })
-    }
 }
 
 /// A workload expressed as barrier-delimited phases of per-thread op

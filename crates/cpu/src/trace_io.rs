@@ -110,11 +110,7 @@ fn write_op<W: Write>(w: &mut W, op: &Op) -> io::Result<()> {
             input,
             dep_dist,
         } => {
-            let opcode = PimOpKind::ALL
-                .iter()
-                .position(|k| k == op)
-                .expect("op is in ALL") as u8;
-            w.write_all(&[3, opcode])?;
+            w.write_all(&[3, op.opcode()])?;
             write_u64(w, target.0)?;
             w.write_all(&dep_dist.to_le_bytes())?;
             write_operand(w, input)

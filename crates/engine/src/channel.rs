@@ -1,7 +1,6 @@
 //! Bandwidth and occupancy primitives shared by links, TSVs, crossbar ports
 //! and DRAM banks.
 
-use pei_types::snap::{check_len, Decoder, Encoder, SnapResult, SnapshotState};
 use pei_types::Cycle;
 
 /// A serialized, bandwidth-limited simplex channel.
@@ -156,52 +155,6 @@ impl OccupancyPool {
     /// Number of units in the pool.
     pub fn width(&self) -> usize {
         self.units.len()
-    }
-}
-
-impl SnapshotState for BwChannel {
-    /// Bandwidth and latency are construction parameters; only the
-    /// occupancy accumulator and the byte tally travel.
-    fn save(&self, e: &mut Encoder) {
-        e.u128(self.free_at_fx);
-        e.u64(self.bytes_carried);
-    }
-
-    fn load(&mut self, d: &mut Decoder<'_>) -> SnapResult<()> {
-        self.free_at_fx = d.u128()?;
-        self.bytes_carried = d.u64()?;
-        Ok(())
-    }
-}
-
-impl SnapshotState for Occupancy {
-    fn save(&self, e: &mut Encoder) {
-        e.u64(self.free_at);
-        e.u64(self.busy_cycles);
-    }
-
-    fn load(&mut self, d: &mut Decoder<'_>) -> SnapResult<()> {
-        self.free_at = d.u64()?;
-        self.busy_cycles = d.u64()?;
-        Ok(())
-    }
-}
-
-impl SnapshotState for OccupancyPool {
-    fn save(&self, e: &mut Encoder) {
-        e.seq(self.units.len());
-        for u in &self.units {
-            u.save(e);
-        }
-    }
-
-    fn load(&mut self, d: &mut Decoder<'_>) -> SnapResult<()> {
-        let n = d.seq(16)?;
-        check_len("occupancy pool units", n, self.units.len())?;
-        for u in &mut self.units {
-            u.load(d)?;
-        }
-        Ok(())
     }
 }
 

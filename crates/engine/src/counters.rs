@@ -7,7 +7,6 @@
 //! report. See DESIGN.md §"Event kernel and outbox contract".
 
 use crate::StatsReport;
-use pei_types::snap::{check_len, Decoder, Encoder, SnapResult, SnapshotState};
 
 /// Index of a registered counter (a dense slot in a [`Counters`] bank).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,44 +150,6 @@ impl Counters {
     }
 }
 
-impl SnapshotState for Counters {
-    /// Counter *names* are registered at construction and identical on
-    /// any machine built the same way, so only the values and the
-    /// labeled phase snapshots travel.
-    fn save(&self, e: &mut Encoder) {
-        e.seq(self.slots.len());
-        for &v in &self.slots {
-            e.u64(v);
-        }
-        e.seq(self.snapshots.len());
-        for (label, vals) in &self.snapshots {
-            e.str(label);
-            for &v in vals {
-                e.u64(v);
-            }
-        }
-    }
-
-    fn load(&mut self, d: &mut Decoder<'_>) -> SnapResult<()> {
-        let n = d.seq(8)?;
-        check_len("counter slots", n, self.slots.len())?;
-        for slot in &mut self.slots {
-            *slot = d.u64()?;
-        }
-        let snaps = d.seq(4)?;
-        self.snapshots.clear();
-        for _ in 0..snaps {
-            let label = crate::intern_label(&d.str()?);
-            let mut vals = Vec::with_capacity(n);
-            for _ in 0..n {
-                vals.push(d.u64()?);
-            }
-            self.snapshots.push((label, vals));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,40 +238,6 @@ mod tests {
         c.flush_if("l3.", &mut stats, |n| n != "accesses");
         assert_eq!(stats.expect("l3.phase.warmup.hits"), 1.0);
         assert_eq!(stats.get("l3.phase.warmup.accesses"), None);
-    }
-
-    #[test]
-    fn snapshot_state_round_trips_slots_and_phases() {
-        let mut a = Counters::new();
-        let x = a.register("x");
-        let y = a.register("y");
-        a.add(x, 5);
-        a.snapshot("warmup");
-        a.add(y, 9);
-        let mut e = Encoder::new();
-        a.save(&mut e);
-        let bytes = e.into_bytes();
-
-        let mut b = Counters::new();
-        b.register("x");
-        b.register("y");
-        b.load(&mut Decoder::new(&bytes)).unwrap();
-        let mut sa = StatsReport::new();
-        let mut sb = StatsReport::new();
-        a.flush("c.", &mut sa);
-        b.flush("c.", &mut sb);
-        assert_eq!(format!("{sa:?}"), format!("{sb:?}"));
-    }
-
-    #[test]
-    fn snapshot_state_rejects_wrong_geometry() {
-        let mut a = Counters::new();
-        a.register("only");
-        let mut e = Encoder::new();
-        a.save(&mut e);
-        let bytes = e.into_bytes();
-        let mut b = Counters::new(); // zero slots registered
-        assert!(b.load(&mut Decoder::new(&bytes)).is_err());
     }
 
     #[test]

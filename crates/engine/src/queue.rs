@@ -362,31 +362,6 @@ impl<E> EventQueue<E> {
     pub fn total_scheduled(&self) -> u64 {
         self.scheduled
     }
-
-    /// Drains every pending event in canonical pop order, returning
-    /// `(cycle, event)` pairs. The queue is empty afterwards, but
-    /// [`total_scheduled`](Self::total_scheduled) is preserved.
-    ///
-    /// This is the snapshot primitive: bucket slots carry no sequence
-    /// numbers (FIFO order is positional), so the only faithful way to
-    /// capture the queue is to pop it dry in order. Re-`schedule`-ing
-    /// the drained pairs in the same order reconstructs an equivalent
-    /// queue — absolute `seq` values differ, but only their *relative*
-    /// order is observable, and scheduling in drain order preserves it.
-    pub fn drain_ordered(&mut self) -> Vec<(Cycle, E)> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(pair) = self.pop() {
-            out.push(pair);
-        }
-        out
-    }
-
-    /// Overwrites the `total_scheduled` tally — used after a snapshot
-    /// restore, where events are re-`schedule`-d (which counts them
-    /// again) and the tally must reflect the original run's history.
-    pub fn restore_accounting(&mut self, scheduled: u64) {
-        self.scheduled = scheduled;
-    }
 }
 
 impl<E> Default for EventQueue<E> {

@@ -74,21 +74,6 @@ impl SimRng {
     }
 }
 
-impl pei_types::snap::SnapshotState for SimRng {
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        for &w in &self.s {
-            e.u64(w);
-        }
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        for w in &mut self.s {
-            *w = d.u64()?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -345,28 +345,6 @@ impl HmcController {
     }
 }
 
-impl pei_types::snap::SnapshotState for HmcController {
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        self.req_link.save(e);
-        self.res_link.save(e);
-        e.u64(self.balance.c_req);
-        e.u64(self.balance.c_res);
-        e.u64(self.balance.next_halve);
-        e.u64(self.pending_reads);
-        self.counters.save(e);
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        self.req_link.load(d)?;
-        self.res_link.load(d)?;
-        self.balance.c_req = d.u64()?;
-        self.balance.c_res = d.u64()?;
-        self.balance.next_halve = d.u64()?;
-        self.pending_reads = d.u64()?;
-        self.counters.load(d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

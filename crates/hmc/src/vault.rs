@@ -254,73 +254,6 @@ impl Vault {
     }
 }
 
-impl VaultIn {
-    /// Appends the access to a snapshot stream.
-    pub fn encode(&self, e: &mut pei_types::snap::Encoder) {
-        e.u64(self.id.0);
-        e.u64(self.block.0);
-        e.bool(self.write);
-    }
-
-    /// Inverse of [`encode`](Self::encode).
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation or a malformed boolean.
-    pub fn decode(d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<VaultIn> {
-        Ok(VaultIn {
-            id: ReqId(d.u64()?),
-            block: BlockAddr(d.u64()?),
-            write: d.bool()?,
-        })
-    }
-}
-
-impl pei_types::snap::SnapshotState for Vault {
-    /// A wedged vault (fault injection armed) must not be snapshotted;
-    /// the caller refuses fault-armed machines before reaching here.
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        debug_assert!(!self.wedged, "snapshot of a fault-wedged vault");
-        e.seq(self.banks.len());
-        for bank in &self.banks {
-            e.opt(bank.open_row.is_some());
-            if let Some(r) = bank.open_row {
-                e.u64(r);
-            }
-            e.u64(bank.busy_until);
-            e.seq(bank.queue.len());
-            for p in &bank.queue {
-                p.req.encode(e);
-                e.u64(p.row);
-            }
-            e.opt(bank.wake_at.is_some());
-            if let Some(t) = bank.wake_at {
-                e.u64(t);
-            }
-        }
-        self.tsv.save(e);
-        self.counters.save(e);
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        let n = d.seq(23)?;
-        pei_types::snap::check_len("vault banks", n, self.banks.len())?;
-        for bank in &mut self.banks {
-            bank.open_row = if d.opt()? { Some(d.u64()?) } else { None };
-            bank.busy_until = d.u64()?;
-            let q = d.seq(25)?;
-            bank.queue.clear();
-            for _ in 0..q {
-                let req = VaultIn::decode(d)?;
-                bank.queue.push_back(Pending { req, row: d.u64()? });
-            }
-            bank.wake_at = if d.opt()? { Some(d.u64()?) } else { None };
-        }
-        self.tsv.load(d)?;
-        self.counters.load(d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

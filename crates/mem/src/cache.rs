@@ -291,100 +291,6 @@ impl CacheArray {
     }
 }
 
-impl Line {
-    /// Appends the line's full bookkeeping (including its private LRU
-    /// rank) to a snapshot stream. Also used for in-flight fill victims
-    /// held inside L3 transactions.
-    pub fn encode(&self, e: &mut pei_types::snap::Encoder) {
-        e.u64(self.block.0);
-        e.u8(match self.state {
-            LineState::Modified => 0,
-            LineState::Exclusive => 1,
-            LineState::Shared => 2,
-        });
-        e.bool(self.dirty);
-        e.u64(self.presence);
-        match self.owner {
-            None => e.bool(false),
-            Some(c) => {
-                e.bool(true);
-                e.u16(c.0);
-            }
-        }
-        e.bool(self.locked);
-        e.u8(self.lru);
-    }
-
-    /// Inverse of [`encode`](Self::encode).
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation or an unknown state tag.
-    pub fn decode(d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<Line> {
-        let block = BlockAddr(d.u64()?);
-        let at = d.offset();
-        let state = match d.u8()? {
-            0 => LineState::Modified,
-            1 => LineState::Exclusive,
-            2 => LineState::Shared,
-            t => {
-                return Err(pei_types::snap::SnapError::BadTag {
-                    offset: at,
-                    found: t,
-                    what: "line state",
-                })
-            }
-        };
-        let dirty = d.bool()?;
-        let presence = d.u64()?;
-        let owner = if d.bool()? {
-            Some(CoreId(d.u16()?))
-        } else {
-            None
-        };
-        Ok(Line {
-            block,
-            state,
-            dirty,
-            presence,
-            owner,
-            locked: d.bool()?,
-            lru: d.u8()?,
-        })
-    }
-}
-
-impl pei_types::snap::SnapshotState for CacheArray {
-    /// Geometry (`sets`, `ways`, `set_shift`) is a construction parameter;
-    /// the line slab travels positionally so way placement and LRU ranks
-    /// restore exactly.
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        e.seq(self.lines.len());
-        for slot in &self.lines {
-            match slot {
-                None => e.bool(false),
-                Some(l) => {
-                    e.bool(true);
-                    l.encode(e);
-                }
-            }
-        }
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        let n = d.seq(1)?;
-        pei_types::snap::check_len("cache line slots", n, self.lines.len())?;
-        for slot in &mut self.lines {
-            *slot = if d.bool()? {
-                Some(Line::decode(d)?)
-            } else {
-                None
-            };
-        }
-        Ok(())
-    }
-}
-
 /// Presence-bitmask helpers for the L3 directory.
 pub mod presence {
     use pei_types::CoreId;

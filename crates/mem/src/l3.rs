@@ -64,54 +64,6 @@ pub enum L3Out {
     },
 }
 
-impl L3In {
-    /// Appends the input to a snapshot stream. Bank inputs sit in
-    /// deferral and overflow queues (and the event queue itself), so
-    /// they need a stable wire form.
-    pub fn encode(&self, e: &mut pei_types::snap::Encoder) {
-        match self {
-            L3In::Req(req) => {
-                e.u8(0);
-                req.encode(e);
-            }
-            L3In::Ack(ack) => {
-                e.u8(1);
-                ack.encode(e);
-            }
-            L3In::Flush(flush) => {
-                e.u8(2);
-                flush.encode(e);
-            }
-            L3In::FetchDone(done) => {
-                e.u8(3);
-                done.encode(e);
-            }
-        }
-    }
-
-    /// Inverse of [`encode`](Self::encode).
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation or an unknown tag.
-    pub fn decode(d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<L3In> {
-        let at = d.offset();
-        Ok(match d.u8()? {
-            0 => L3In::Req(L3Req::decode(d)?),
-            1 => L3In::Ack(RecallAck::decode(d)?),
-            2 => L3In::Flush(PimFlush::decode(d)?),
-            3 => L3In::FetchDone(MemFetchDone::decode(d)?),
-            t => {
-                return Err(pei_types::snap::SnapError::BadTag {
-                    offset: at,
-                    found: t,
-                    what: "L3 input",
-                })
-            }
-        })
-    }
-}
-
 #[derive(Debug)]
 enum TxnKind {
     /// Hit path: waiting for recalls before granting `req`.
@@ -701,143 +653,6 @@ impl L3Bank {
         // the energy model via `accesses()`), so flush the named subset.
         self.counters
             .flush_if(prefix, stats, |name| name != "accesses");
-    }
-}
-
-impl pei_types::snap::SnapshotState for L3Bank {
-    /// Transactions travel sorted by block; `retry_scratch` is a reusable
-    /// buffer that is empty between events and does not travel.
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        use pei_types::snap::Encoder;
-        debug_assert!(self.retry_scratch.is_empty(), "snapshot mid-dispatch");
-        self.array.save(e);
-        let mut blocks: Vec<BlockAddr> = self.txns.keys().copied().collect();
-        blocks.sort_unstable_by_key(|b| b.0);
-        e.seq(blocks.len());
-        let save_txn = |e: &mut Encoder, txn: &Txn| {
-            match &txn.kind {
-                TxnKind::Grant { req } => {
-                    e.u8(0);
-                    req.encode(e);
-                }
-                TxnKind::Fill { req, victim } => {
-                    e.u8(1);
-                    req.encode(e);
-                    match victim {
-                        None => e.bool(false),
-                        Some(v) => {
-                            e.bool(true);
-                            v.encode(e);
-                        }
-                    }
-                }
-                TxnKind::Flush { id, invalidate } => {
-                    e.u8(2);
-                    e.u64(id.0);
-                    e.bool(*invalidate);
-                }
-            }
-            e.u8(match txn.phase {
-                Phase::VictimAcks => 0,
-                Phase::Mem => 1,
-                Phase::RecallAcks => 2,
-            });
-            e.u32(txn.pending_acks);
-            e.bool(txn.dirty_seen);
-            e.seq(txn.deferred.len());
-            for item in &txn.deferred {
-                item.encode(e);
-            }
-        };
-        for b in blocks {
-            e.u64(b.0);
-            save_txn(e, &self.txns[&b]);
-        }
-        e.seq(self.overflow.len());
-        for item in &self.overflow {
-            item.encode(e);
-        }
-        self.port.save(e);
-        e.u64(self.next_fetch);
-        self.counters.save(e);
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        self.array.load(d)?;
-        let n = d.seq(20)?;
-        if n > self.txn_cap {
-            return Err(d.bad(format!(
-                "{n} L3 transactions but capacity is {}",
-                self.txn_cap
-            )));
-        }
-        self.txns.clear();
-        for _ in 0..n {
-            let block = BlockAddr(d.u64()?);
-            let at = d.offset();
-            let kind = match d.u8()? {
-                0 => TxnKind::Grant {
-                    req: L3Req::decode(d)?,
-                },
-                1 => TxnKind::Fill {
-                    req: L3Req::decode(d)?,
-                    victim: if d.bool()? {
-                        Some(Line::decode(d)?)
-                    } else {
-                        None
-                    },
-                },
-                2 => TxnKind::Flush {
-                    id: ReqId(d.u64()?),
-                    invalidate: d.bool()?,
-                },
-                t => {
-                    return Err(pei_types::snap::SnapError::BadTag {
-                        offset: at,
-                        found: t,
-                        what: "L3 transaction kind",
-                    })
-                }
-            };
-            let at = d.offset();
-            let phase = match d.u8()? {
-                0 => Phase::VictimAcks,
-                1 => Phase::Mem,
-                2 => Phase::RecallAcks,
-                t => {
-                    return Err(pei_types::snap::SnapError::BadTag {
-                        offset: at,
-                        found: t,
-                        what: "L3 transaction phase",
-                    })
-                }
-            };
-            let pending_acks = d.u32()?;
-            let dirty_seen = d.bool()?;
-            let deferred_n = d.seq(2)?;
-            let mut deferred = VecDeque::with_capacity(deferred_n);
-            for _ in 0..deferred_n {
-                deferred.push_back(L3In::decode(d)?);
-            }
-            self.txns.insert(
-                block,
-                Txn {
-                    kind,
-                    phase,
-                    pending_acks,
-                    dirty_seen,
-                    deferred,
-                },
-            );
-        }
-        let overflow_n = d.seq(2)?;
-        self.overflow.clear();
-        for _ in 0..overflow_n {
-            self.overflow.push_back(L3In::decode(d)?);
-        }
-        self.port.load(d)?;
-        self.next_fetch = d.u64()?;
-        self.counters.load(d)
     }
 }
 

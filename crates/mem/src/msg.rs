@@ -157,311 +157,6 @@ pub struct MemFetchDone {
     pub block: BlockAddr,
 }
 
-mod snapio {
-    //! Snapshot codecs for the protocol vocabulary: every message can sit
-    //! in a queue (bank deferral, overflow, the event queue itself) when a
-    //! snapshot is taken, so each gets a fixed-layout encode/decode pair.
-
-    use super::*;
-    use pei_types::snap::{Decoder, Encoder, SnapError, SnapResult};
-
-    impl L3ReqKind {
-        /// Appends the kind as a one-byte tag.
-        pub fn encode(self, e: &mut Encoder) {
-            e.u8(match self {
-                L3ReqKind::GetS => 0,
-                L3ReqKind::GetM => 1,
-                L3ReqKind::PutS => 2,
-                L3ReqKind::PutM => 3,
-            });
-        }
-
-        /// Inverse of [`encode`](Self::encode).
-        ///
-        /// # Errors
-        ///
-        /// Fails on truncation or an unknown tag.
-        pub fn decode(d: &mut Decoder<'_>) -> SnapResult<Self> {
-            let at = d.offset();
-            Ok(match d.u8()? {
-                0 => L3ReqKind::GetS,
-                1 => L3ReqKind::GetM,
-                2 => L3ReqKind::PutS,
-                3 => L3ReqKind::PutM,
-                t => {
-                    return Err(SnapError::BadTag {
-                        offset: at,
-                        found: t,
-                        what: "L3 request kind",
-                    })
-                }
-            })
-        }
-    }
-
-    impl Grant {
-        /// Appends the grant as a one-byte tag.
-        pub fn encode(self, e: &mut Encoder) {
-            e.u8(match self {
-                Grant::Shared => 0,
-                Grant::Exclusive => 1,
-                Grant::Modified => 2,
-            });
-        }
-
-        /// Inverse of [`encode`](Self::encode).
-        ///
-        /// # Errors
-        ///
-        /// Fails on truncation or an unknown tag.
-        pub fn decode(d: &mut Decoder<'_>) -> SnapResult<Self> {
-            let at = d.offset();
-            Ok(match d.u8()? {
-                0 => Grant::Shared,
-                1 => Grant::Exclusive,
-                2 => Grant::Modified,
-                t => {
-                    return Err(SnapError::BadTag {
-                        offset: at,
-                        found: t,
-                        what: "grant",
-                    })
-                }
-            })
-        }
-    }
-
-    impl RecallOp {
-        /// Appends the op as a one-byte tag.
-        pub fn encode(self, e: &mut Encoder) {
-            e.u8(match self {
-                RecallOp::Invalidate => 0,
-                RecallOp::Downgrade => 1,
-            });
-        }
-
-        /// Inverse of [`encode`](Self::encode).
-        ///
-        /// # Errors
-        ///
-        /// Fails on truncation or an unknown tag.
-        pub fn decode(d: &mut Decoder<'_>) -> SnapResult<Self> {
-            let at = d.offset();
-            Ok(match d.u8()? {
-                0 => RecallOp::Invalidate,
-                1 => RecallOp::Downgrade,
-                t => {
-                    return Err(SnapError::BadTag {
-                        offset: at,
-                        found: t,
-                        what: "recall op",
-                    })
-                }
-            })
-        }
-    }
-
-    impl L3Req {
-        /// Appends the request to a snapshot stream.
-        pub fn encode(&self, e: &mut Encoder) {
-            e.u64(self.id.0);
-            e.u16(self.core.0);
-            e.u64(self.block.0);
-            self.kind.encode(e);
-        }
-
-        /// Inverse of [`encode`](Self::encode).
-        ///
-        /// # Errors
-        ///
-        /// Fails on truncation or an unknown kind tag.
-        pub fn decode(d: &mut Decoder<'_>) -> SnapResult<Self> {
-            Ok(L3Req {
-                id: ReqId(d.u64()?),
-                core: CoreId(d.u16()?),
-                block: BlockAddr(d.u64()?),
-                kind: L3ReqKind::decode(d)?,
-            })
-        }
-    }
-
-    impl L3Resp {
-        /// Appends the response to a snapshot stream.
-        pub fn encode(&self, e: &mut Encoder) {
-            e.u64(self.id.0);
-            e.u16(self.core.0);
-            e.u64(self.block.0);
-            self.grant.encode(e);
-        }
-
-        /// Inverse of [`encode`](Self::encode).
-        ///
-        /// # Errors
-        ///
-        /// Fails on truncation or an unknown grant tag.
-        pub fn decode(d: &mut Decoder<'_>) -> SnapResult<Self> {
-            Ok(L3Resp {
-                id: ReqId(d.u64()?),
-                core: CoreId(d.u16()?),
-                block: BlockAddr(d.u64()?),
-                grant: Grant::decode(d)?,
-            })
-        }
-    }
-
-    impl Recall {
-        /// Appends the recall to a snapshot stream.
-        pub fn encode(&self, e: &mut Encoder) {
-            e.u16(self.core.0);
-            e.u64(self.block.0);
-            self.op.encode(e);
-        }
-
-        /// Inverse of [`encode`](Self::encode).
-        ///
-        /// # Errors
-        ///
-        /// Fails on truncation or an unknown op tag.
-        pub fn decode(d: &mut Decoder<'_>) -> SnapResult<Self> {
-            Ok(Recall {
-                core: CoreId(d.u16()?),
-                block: BlockAddr(d.u64()?),
-                op: RecallOp::decode(d)?,
-            })
-        }
-    }
-
-    impl RecallAck {
-        /// Appends the ack to a snapshot stream.
-        pub fn encode(&self, e: &mut Encoder) {
-            e.u16(self.core.0);
-            e.u64(self.block.0);
-            e.bool(self.dirty);
-            e.bool(self.was_present);
-        }
-
-        /// Inverse of [`encode`](Self::encode).
-        ///
-        /// # Errors
-        ///
-        /// Fails on truncation or a malformed boolean.
-        pub fn decode(d: &mut Decoder<'_>) -> SnapResult<Self> {
-            Ok(RecallAck {
-                core: CoreId(d.u16()?),
-                block: BlockAddr(d.u64()?),
-                dirty: d.bool()?,
-                was_present: d.bool()?,
-            })
-        }
-    }
-
-    impl CoreReq {
-        /// Appends the request to a snapshot stream.
-        pub fn encode(&self, e: &mut Encoder) {
-            e.u64(self.id.0);
-            e.u64(self.addr.0);
-            e.bool(self.write);
-        }
-
-        /// Inverse of [`encode`](Self::encode).
-        ///
-        /// # Errors
-        ///
-        /// Fails on truncation or a malformed boolean.
-        pub fn decode(d: &mut Decoder<'_>) -> SnapResult<Self> {
-            Ok(CoreReq {
-                id: ReqId(d.u64()?),
-                addr: Addr(d.u64()?),
-                write: d.bool()?,
-            })
-        }
-    }
-
-    impl PimFlush {
-        /// Appends the flush request to a snapshot stream.
-        pub fn encode(&self, e: &mut Encoder) {
-            e.u64(self.id.0);
-            e.u64(self.block.0);
-            e.bool(self.invalidate);
-        }
-
-        /// Inverse of [`encode`](Self::encode).
-        ///
-        /// # Errors
-        ///
-        /// Fails on truncation or a malformed boolean.
-        pub fn decode(d: &mut Decoder<'_>) -> SnapResult<Self> {
-            Ok(PimFlush {
-                id: ReqId(d.u64()?),
-                block: BlockAddr(d.u64()?),
-                invalidate: d.bool()?,
-            })
-        }
-    }
-
-    impl PimFlushDone {
-        /// Appends the completion notice to a snapshot stream.
-        pub fn encode(&self, e: &mut Encoder) {
-            e.u64(self.id.0);
-            e.u64(self.block.0);
-        }
-
-        /// Inverse of [`encode`](Self::encode).
-        ///
-        /// # Errors
-        ///
-        /// Fails on truncation.
-        pub fn decode(d: &mut Decoder<'_>) -> SnapResult<Self> {
-            Ok(PimFlushDone {
-                id: ReqId(d.u64()?),
-                block: BlockAddr(d.u64()?),
-            })
-        }
-    }
-
-    impl MemFetch {
-        /// Appends the fetch to a snapshot stream.
-        pub fn encode(&self, e: &mut Encoder) {
-            e.u64(self.id.0);
-            e.u64(self.block.0);
-            e.bool(self.write);
-        }
-
-        /// Inverse of [`encode`](Self::encode).
-        ///
-        /// # Errors
-        ///
-        /// Fails on truncation or a malformed boolean.
-        pub fn decode(d: &mut Decoder<'_>) -> SnapResult<Self> {
-            Ok(MemFetch {
-                id: ReqId(d.u64()?),
-                block: BlockAddr(d.u64()?),
-                write: d.bool()?,
-            })
-        }
-    }
-
-    impl MemFetchDone {
-        /// Appends the completion to a snapshot stream.
-        pub fn encode(&self, e: &mut Encoder) {
-            e.u64(self.id.0);
-            e.u64(self.block.0);
-        }
-
-        /// Inverse of [`encode`](Self::encode).
-        ///
-        /// # Errors
-        ///
-        /// Fails on truncation.
-        pub fn decode(d: &mut Decoder<'_>) -> SnapResult<Self> {
-            Ok(MemFetchDone {
-                id: ReqId(d.u64()?),
-                block: BlockAddr(d.u64()?),
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -159,60 +159,6 @@ impl MshrFile {
     }
 }
 
-impl pei_types::snap::SnapshotState for MshrFile {
-    /// Entries travel sorted by block (the map itself is unordered, and
-    /// identical machine states must serialize to identical bytes);
-    /// waiter order within an entry is answer order and is preserved.
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        let mut blocks: Vec<BlockAddr> = self.entries.keys().copied().collect();
-        blocks.sort_unstable_by_key(|b| b.0);
-        e.seq(blocks.len());
-        for b in blocks {
-            let entry = &self.entries[&b];
-            e.u64(entry.block.0);
-            entry.issued.encode(e);
-            e.seq(entry.waiters.len());
-            for w in &entry.waiters {
-                e.u64(w.id.0);
-                e.bool(w.write);
-            }
-        }
-        e.usize(self.peak);
-        e.u64(self.merges);
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        let n = d.seq(13)?;
-        if n > self.capacity {
-            return Err(d.bad(format!(
-                "{n} MSHR entries but capacity is {}",
-                self.capacity
-            )));
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            let block = BlockAddr(d.u64()?);
-            let issued = L3ReqKind::decode(d)?;
-            let waiters = d.seq(9)?;
-            let mut entry = MshrEntry {
-                block,
-                issued,
-                waiters: Vec::with_capacity(waiters),
-            };
-            for _ in 0..waiters {
-                entry.waiters.push(Waiter {
-                    id: ReqId(d.u64()?),
-                    write: d.bool()?,
-                });
-            }
-            self.entries.insert(block, entry);
-        }
-        self.peak = d.usize()?;
-        self.merges = d.u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -458,51 +458,6 @@ impl PrivateCache {
     }
 }
 
-impl pei_types::snap::SnapshotState for PrivateCache {
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        self.l1.save(e);
-        self.l2.save(e);
-        self.mshr.save(e);
-        e.seq(self.stall_q.len());
-        for req in &self.stall_q {
-            req.encode(e);
-        }
-        self.port.save(e);
-        e.seq(self.overtaken.len());
-        for &b in &self.overtaken {
-            e.u64(b);
-        }
-        e.seq(self.tainted.len());
-        for &b in &self.tainted {
-            e.u64(b);
-        }
-        self.counters.save(e);
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        self.l1.load(d)?;
-        self.l2.load(d)?;
-        self.mshr.load(d)?;
-        let stalls = d.seq(17)?;
-        self.stall_q.clear();
-        for _ in 0..stalls {
-            self.stall_q.push_back(CoreReq::decode(d)?);
-        }
-        self.port.load(d)?;
-        let overtaken = d.seq(8)?;
-        self.overtaken.clear();
-        for _ in 0..overtaken {
-            self.overtaken.insert(d.u64()?);
-        }
-        let tainted = d.seq(8)?;
-        self.tainted.clear();
-        for _ in 0..tainted {
-            self.tainted.insert(d.u64()?);
-        }
-        self.counters.load(d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

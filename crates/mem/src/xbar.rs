@@ -97,26 +97,6 @@ impl Crossbar {
     }
 }
 
-impl pei_types::snap::SnapshotState for Crossbar {
-    fn save(&self, e: &mut pei_types::snap::Encoder) {
-        e.seq(self.ports.len());
-        for p in &self.ports {
-            p.save(e);
-        }
-        e.u64(self.messages);
-    }
-
-    fn load(&mut self, d: &mut pei_types::snap::Decoder<'_>) -> pei_types::snap::SnapResult<()> {
-        let n = d.seq(24)?;
-        pei_types::snap::check_len("crossbar ports", n, self.ports.len())?;
-        for p in &mut self.ports {
-            p.load(d)?;
-        }
-        self.messages = d.u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -340,9 +340,7 @@ pub(crate) struct CheckState {
     pub(crate) cfg: CheckConfig,
     pub(crate) next_sweep: Cycle,
     /// `(cache index, block)` → cycle first observed outstanding.
-    /// `pub(crate)` so snapshot/restore can carry it across a pause
-    /// (a resumed checked run must age MSHR entries identically).
-    pub(crate) mshr_seen: FastMap<(usize, u64), Cycle>,
+    mshr_seen: FastMap<(usize, u64), Cycle>,
     /// Scratch for the MESI sweep, keyed by block.
     mesi_scratch: FastMap<u64, MesiEntry>,
 }

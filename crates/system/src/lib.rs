@@ -36,7 +36,6 @@
 pub mod check;
 pub mod config;
 pub mod energy;
-pub mod snapshot;
 pub mod system;
 mod tracer;
 
@@ -45,5 +44,4 @@ pub use check::{
 };
 pub use config::MachineConfig;
 pub use energy::{EnergyBreakdown, EnergyInputs, EnergyModel};
-pub use snapshot::Snapshot;
 pub use system::{RunResult, RunStatus, System};

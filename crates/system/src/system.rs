@@ -63,14 +63,14 @@ pub(crate) enum Ev {
     HostPcuMemResult(usize, ReqId, Box<OperandValue>),
 }
 
-pub(crate) struct Group {
-    pub(crate) trace: Box<dyn PhasedTrace>,
-    pub(crate) cores: Vec<usize>,
-    pub(crate) drained: Vec<bool>,
-    pub(crate) drained_count: usize,
-    pub(crate) done: bool,
-    pub(crate) instructions_at_done: u64,
-    pub(crate) phases: u64,
+struct Group {
+    trace: Box<dyn PhasedTrace>,
+    cores: Vec<usize>,
+    drained: Vec<bool>,
+    drained_count: usize,
+    done: bool,
+    instructions_at_done: u64,
+    phases: u64,
 }
 
 /// Result of a full-system run: the headline metrics every experiment
@@ -122,7 +122,8 @@ pub enum RunStatus {
     /// The run ended (completed or failed) before the pause point.
     Completed(RunResult),
     /// The pause point was reached with work outstanding; the machine
-    /// is quiescent and ready for [`System::snapshot`] or resumption.
+    /// is quiescent and resumes on the next
+    /// [`run_paused`](System::run_paused) call.
     Paused {
         /// The pause bound: every event strictly before this cycle has
         /// been dispatched.
@@ -176,16 +177,16 @@ pub struct System {
     pub(crate) host_pcus: Vec<HostPcu>,
     pub(crate) pmu: Pmu,
     pub(crate) store: BackingStore,
-    pub(crate) groups: Vec<Group>,
+    groups: Vec<Group>,
     core_group: Vec<Option<usize>>,
-    pub(crate) finish_time: Cycle,
+    finish_time: Cycle,
     // Run-loop accounting for the event-conservation and crossbar
     // auditors: events dispatched (popped and handled) and messages the
     // router injected into the crossbar.
     pub(crate) dispatched: u64,
     pub(crate) xsends: u64,
     // Checked mode (None in normal runs; one `is_some()` branch each).
-    pub(crate) checks: Option<Box<CheckState>>,
+    checks: Option<Box<CheckState>>,
     pub(crate) faults: Option<Box<ArmedFaults>>,
     // Violations found by sweeps or flagged by the router; non-empty
     // ends the run with a `CheckFailed` outcome.
@@ -528,8 +529,8 @@ impl System {
     }
 
     /// [`run`](System::run), but optionally stopping at a deterministic
-    /// cut point with all machine state intact — the entry point for
-    /// [`snapshot`](System::snapshot)-based crash-resume and bisection.
+    /// cut point with all machine state intact — the slicing that
+    /// [`run_cancellable`](System::run_cancellable) is built on.
     /// `Some(t)` dispatches every event strictly before cycle `t`, then
     /// pauses (events *at* `t` stay queued).
     ///
@@ -541,8 +542,8 @@ impl System {
     pub fn run_paused(&mut self, max_cycles: Cycle, pause_at: Option<Cycle>) -> RunStatus {
         assert!(!self.groups.is_empty(), "no workload assigned");
         for g in 0..self.groups.len() {
-            // On a fresh machine this seeds phase 1; on a resumed one the
-            // groups already progressed (their phase state was restored).
+            // On a fresh machine this seeds phase 1; on a paused one the
+            // groups already progressed.
             if self.groups[g].phases == 0 && !self.groups[g].done {
                 self.pull_phase(g, 0);
             }

@@ -1,11 +1,11 @@
 //! End-to-end integration tests of the assembled machine: PEI execution on
 //! both sides, coherence interactions, atomicity, pfence, dispatch
-//! policies, and multiprogramming.
+//! policies, multiprogramming, and sliced (pausable) runs.
 
 use pei_core::DispatchPolicy;
-use pei_cpu::trace::{Op, VecPhases};
+use pei_cpu::trace::{Op, PhasedTrace, VecPhases};
 use pei_mem::BackingStore;
-use pei_system::{MachineConfig, System};
+use pei_system::{CheckConfig, MachineConfig, RunResult, System};
 use pei_types::{Addr, OperandValue, PimOpKind};
 
 const LIMIT: u64 = 50_000_000;
@@ -296,4 +296,104 @@ fn streaming_loads_generate_expected_offchip_traffic() {
     let r = sys.run(LIMIT);
     assert_eq!(r.offchip_bytes, 256 * 96);
     assert_eq!(r.dram_accesses, 256);
+}
+
+/// A mixed multi-phase workload (loads, stores, PEIs on several cores)
+/// so a slice boundary lands with traffic in flight at every layer.
+fn mixed_workload(store: &mut BackingStore, threads: usize, blocks: usize) -> Box<dyn PhasedTrace> {
+    let addrs: Vec<Addr> = (0..blocks).map(|_| store.alloc_block()).collect();
+    let mut phase1 = vec![Vec::new(); threads];
+    let mut phase2 = vec![Vec::new(); threads];
+    for (i, &a) in addrs.iter().enumerate() {
+        let t = i % threads;
+        phase1[t].push(Op::load(a));
+        phase1[t].push(inc(a));
+        phase2[t].push(Op::store(a));
+        if i % 3 == 0 {
+            phase2[t].push(Op::pei(PimOpKind::MinU64, a, OperandValue::U64(1)));
+        }
+    }
+    Box::new(VecPhases::new(threads, vec![phase1, phase2]))
+}
+
+/// Builds the mixed-workload machine for `cfg`, in checked mode when
+/// `check` is set — every call with the same arguments constructs an
+/// identical machine over an identical store.
+fn build_mixed(cfg: MachineConfig, check: Option<CheckConfig>) -> System {
+    let mut store = BackingStore::new();
+    let trace = mixed_workload(&mut store, cfg.cores, 48);
+    let mut sys = System::new(cfg, store);
+    sys.add_workload(trace, (0..cfg.cores).collect());
+    if let Some(check) = check {
+        sys.enable_checks(check);
+    }
+    sys
+}
+
+/// Everything a run can observably produce, as one comparable string.
+fn fingerprint(r: &RunResult) -> String {
+    format!(
+        "{} {} {} {:?} {} {:?}\n{:?}",
+        r.cycles, r.instructions, r.peis, r.offchip_flits, r.dram_accesses, r.outcome, r.stats
+    )
+}
+
+#[test]
+fn cancellable_run_is_byte_identical_to_unsliced() {
+    // Slicing the loop into run_paused windows changes where the
+    // driver pauses, never the event order inside a window — the
+    // foundation of pei-serve's byte-identity contract. Under checked
+    // mode a pause must not disturb auditor state either (MSHR aging,
+    // the sweep schedule): the sliced run sweeps clean and matches.
+    let cfg = MachineConfig::scaled(DispatchPolicy::LocalityAware);
+    let checked = CheckConfig {
+        interval: 512,
+        ..CheckConfig::default()
+    };
+    for check in [None, Some(checked)] {
+        let reference = build_mixed(cfg, check).run(LIMIT);
+        assert!(reference.ok(), "{:?}: {:?}", check, reference.outcome);
+
+        let never = std::sync::atomic::AtomicBool::new(false);
+        let mut beats = Vec::new();
+        let sliced = build_mixed(cfg, check)
+            .run_cancellable(LIMIT, 500, &never, |at| beats.push(at))
+            .expect("flag never set");
+        assert!(sliced.ok(), "{:?}: {:?}", check, sliced.outcome);
+        assert_eq!(fingerprint(&sliced), fingerprint(&reference), "{check:?}");
+        assert!(
+            beats.len() as u64 >= reference.cycles / 500 - 1,
+            "expected a heartbeat per slice, got {} over {} cycles",
+            beats.len(),
+            reference.cycles
+        );
+        assert!(beats.windows(2).all(|w| w[0] < w[1]), "heartbeats advance");
+    }
+}
+
+#[test]
+fn cancelled_run_stops_and_leaves_the_machine_resumable() {
+    let cfg = MachineConfig::scaled(DispatchPolicy::LocalityAwareBalanced);
+    let reference = build_mixed(cfg, None).run(LIMIT);
+    assert!(reference.ok());
+
+    // A pre-set flag stops the run before any work.
+    let set = std::sync::atomic::AtomicBool::new(true);
+    let mut m = build_mixed(cfg, None);
+    assert!(m.run_cancellable(LIMIT, 500, &set, |_| ()).is_none());
+
+    // A flag raised mid-run (from the progress hook, as the daemon's
+    // cancel request effectively does) stops at the next slice edge —
+    // and the abandoned machine is merely paused, not corrupted:
+    // resuming it completes byte-identically.
+    let cancel = std::sync::atomic::AtomicBool::new(false);
+    let mut m = build_mixed(cfg, None);
+    let out = m.run_cancellable(LIMIT, 500, &cancel, |at| {
+        if at >= 2_000 {
+            cancel.store(true, std::sync::atomic::Ordering::Relaxed);
+        }
+    });
+    assert!(out.is_none(), "cancel observed at a slice boundary");
+    let resumed = m.run(LIMIT);
+    assert_eq!(fingerprint(&resumed), fingerprint(&reference));
 }

@@ -5,8 +5,7 @@
 use pei_core::DispatchPolicy;
 use pei_cpu::trace::{Op, VecPhases};
 use pei_mem::BackingStore;
-use pei_system::{MachineConfig, Snapshot, System};
-use pei_types::snap::SnapError;
+use pei_system::{MachineConfig, System};
 use pei_types::{Addr, OperandValue, PimOpKind};
 use proptest::prelude::*;
 
@@ -105,100 +104,4 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
-
-    /// The snapshot format (DESIGN.md §11) is self-contained: for any
-    /// policy and any mid-run cut point, restoring a snapshot into a
-    /// twin machine and re-snapshotting reproduces the exact bytes.
-    #[test]
-    fn snapshot_restore_resnapshot_is_byte_identical(
-        policy in policy_strategy(),
-        cut in 200u64..6_000,
-        blocks in 8usize..48,
-    ) {
-        let snap = pause_and_snapshot(policy, cut, blocks)?;
-        let mut twin = mixed_machine(policy, blocks);
-        twin.restore(&snap).expect("restore onto a twin machine");
-        let again = twin.snapshot().expect("re-snapshot");
-        prop_assert_eq!(snap.as_bytes(), again.as_bytes());
-    }
-
-    /// Malformed snapshot bytes — any truncation, any single-byte
-    /// corruption — produce errors, never panics, and every reported
-    /// truncation offset stays within the input.
-    #[test]
-    fn malformed_snapshot_bytes_error_instead_of_panicking(
-        cut in 200u64..4_000,
-        len_seed in any::<u64>(),
-        off_seed in any::<u64>(),
-        flip in 1u8..=255,
-    ) {
-        let policy = DispatchPolicy::LocalityAware;
-        let snap = pause_and_snapshot(policy, cut, 16)?;
-        let full = snap.as_bytes().to_vec();
-
-        // Truncate at a random point, then flip a random byte in what
-        // remains (when anything remains).
-        let len = (len_seed % (full.len() as u64 + 1)) as usize;
-        let mut bad = full[..len].to_vec();
-        if !bad.is_empty() {
-            let off = (off_seed % bad.len() as u64) as usize;
-            bad[off] ^= flip;
-        }
-        match Snapshot::from_bytes(&bad) {
-            Err(SnapError::Truncated { offset }) => prop_assert!(offset <= len),
-            Err(_) => {}
-            Ok(parsed) => {
-                // Header survived; restore must still either succeed
-                // (the flip landed in redundant bytes and an untouched
-                // payload parsed) or error within bounds — never panic.
-                let mut target = mixed_machine(policy, 16);
-                if let Err(SnapError::Truncated { offset }) = target.restore(&parsed) {
-                    prop_assert!(offset <= len);
-                }
-            }
-        }
-    }
-}
-
-/// A mixed load/store/PEI machine for the snapshot properties, sized by
-/// `blocks`; every call with equal arguments builds an identical twin.
-fn mixed_machine(policy: DispatchPolicy, blocks: usize) -> System {
-    let mut store = BackingStore::new();
-    let addrs: Vec<Addr> = (0..blocks).map(|_| store.alloc_block()).collect();
-    let cfg = MachineConfig::scaled(policy);
-    let threads = cfg.cores;
-    let mut phase = vec![Vec::new(); threads];
-    for (i, &a) in addrs.iter().enumerate() {
-        let t = i % threads;
-        phase[t].push(Op::load(a));
-        phase[t].push(Op::pei(PimOpKind::IncU64, a, OperandValue::None));
-        if i % 3 == 0 {
-            phase[t].push(Op::store(a));
-        }
-    }
-    let mut sys = System::new(cfg, store);
-    sys.add_workload(
-        Box::new(VecPhases::new(threads, vec![phase])),
-        (0..threads).collect(),
-    );
-    sys
-}
-
-/// Pauses a fresh machine at `cut` and snapshots it; rejects the case
-/// when the run finishes before the cut (nothing mid-run to capture).
-fn pause_and_snapshot(
-    policy: DispatchPolicy,
-    cut: u64,
-    blocks: usize,
-) -> Result<Snapshot, TestCaseError> {
-    let mut sys = mixed_machine(policy, blocks);
-    match sys.run_paused(500_000_000, Some(cut)) {
-        pei_system::RunStatus::Paused { .. } => {}
-        pei_system::RunStatus::Completed(_) => {
-            return Err(TestCaseError::reject(
-                "run completed before the cut".to_string(),
-            ))
-        }
-    }
-    Ok(sys.snapshot().expect("snapshot a paused machine"))
 }

@@ -1,7 +1,6 @@
 //! Hand-rolled JSON codec for the `pei-serve` wire protocol: a small
 //! value model, an escaping encoder, and a validating decoder with
-//! offset-reporting errors in the style of the `.petr` and snapshot
-//! codecs in this crate (see [`crate::snap`]).
+//! offset-reporting errors in the style of the `.petr` codec.
 //!
 //! The subset is exactly what the newline-delimited frame protocol
 //! needs (DESIGN.md §12): objects, arrays, strings with full escape

@@ -31,7 +31,6 @@ pub mod mem;
 pub mod operand;
 pub mod packet;
 pub mod pim;
-pub mod snap;
 pub mod wire;
 
 pub use ids::{BankId, CoreId, CubeId, L3BankId, VaultId};
@@ -39,7 +38,6 @@ pub use mem::{AccessKind, MemReq, ReqId};
 pub use operand::OperandValue;
 pub use packet::{FlitCount, PacketKind, FLIT_BYTES};
 pub use pim::{PimCmd, PimOpKind, PimOut};
-pub use snap::{Decoder, Encoder, SnapError, SnapResult, SnapshotState};
 
 /// Size of one last-level cache block in bytes.
 ///

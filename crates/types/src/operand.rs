@@ -85,59 +85,6 @@ impl OperandValue {
     }
 }
 
-impl OperandValue {
-    /// Appends the operand to a snapshot stream (tagged, same tag set as
-    /// the recorded-trace format).
-    pub fn save(&self, e: &mut crate::snap::Encoder) {
-        match self {
-            OperandValue::None => e.tag(0),
-            OperandValue::U64(v) => {
-                e.tag(1);
-                e.u64(*v);
-            }
-            OperandValue::F64(v) => {
-                e.tag(2);
-                e.f64(*v);
-            }
-            OperandValue::Bytes(b) => {
-                e.tag(3);
-                e.bytes(b);
-            }
-        }
-    }
-
-    /// Decodes an operand written by [`save`](Self::save).
-    ///
-    /// # Errors
-    ///
-    /// Fails on a bad tag, an over-long byte operand, or truncation.
-    pub fn load(d: &mut crate::snap::Decoder<'_>) -> crate::snap::SnapResult<Self> {
-        let offset = d.offset();
-        Ok(match d.u8()? {
-            0 => OperandValue::None,
-            1 => OperandValue::U64(d.u64()?),
-            2 => OperandValue::F64(d.f64()?),
-            3 => {
-                let b = d.bytes()?;
-                if b.len() > BLOCK_BYTES {
-                    return Err(crate::snap::SnapError::BadValue {
-                        offset,
-                        what: format!("operand of {} bytes exceeds one block", b.len()),
-                    });
-                }
-                OperandValue::Bytes(b.into())
-            }
-            t => {
-                return Err(crate::snap::SnapError::BadTag {
-                    offset,
-                    found: t,
-                    what: "operand value",
-                })
-            }
-        })
-    }
-}
-
 impl From<u64> for OperandValue {
     fn from(v: u64) -> Self {
         OperandValue::U64(v)

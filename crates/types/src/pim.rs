@@ -119,54 +119,12 @@ impl PimOpKind {
             .position(|k| *k == self)
             .expect("op in ALL") as u8
     }
-
-    /// Inverse of [`opcode`](Self::opcode).
-    ///
-    /// # Errors
-    ///
-    /// Fails on an opcode outside Table 1.
-    pub fn from_opcode(
-        code: u8,
-        d: &crate::snap::Decoder<'_>,
-    ) -> crate::snap::SnapResult<PimOpKind> {
-        Self::ALL
-            .get(code as usize)
-            .copied()
-            .ok_or_else(|| d.bad(format!("PIM opcode {code}")))
-    }
 }
 
 impl PimCmd {
     /// The cache block this command is restricted to.
     pub fn block(&self) -> BlockAddr {
         self.target.block()
-    }
-
-    /// Appends the command to a snapshot stream.
-    pub fn save(&self, e: &mut crate::snap::Encoder) {
-        e.u64(self.id.0);
-        e.u64(self.target.0);
-        e.u8(self.op.opcode());
-        self.input.save(e);
-    }
-
-    /// Decodes a command written by [`save`](Self::save).
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation or a bad opcode/operand.
-    pub fn load(d: &mut crate::snap::Decoder<'_>) -> crate::snap::SnapResult<PimCmd> {
-        let id = ReqId(d.u64()?);
-        let target = Addr(d.u64()?);
-        let code = d.u8()?;
-        let op = PimOpKind::from_opcode(code, d)?;
-        let input = OperandValue::load(d)?;
-        Ok(PimCmd {
-            id,
-            target,
-            op,
-            input,
-        })
     }
 }
 
@@ -179,28 +137,6 @@ pub struct PimOut {
     pub block: BlockAddr,
     /// Output operands (possibly [`OperandValue::None`]).
     pub output: OperandValue,
-}
-
-impl PimOut {
-    /// Appends the completion to a snapshot stream.
-    pub fn save(&self, e: &mut crate::snap::Encoder) {
-        e.u64(self.id.0);
-        e.u64(self.block.0);
-        self.output.save(e);
-    }
-
-    /// Decodes a completion written by [`save`](Self::save).
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation or a bad operand.
-    pub fn load(d: &mut crate::snap::Decoder<'_>) -> crate::snap::SnapResult<PimOut> {
-        Ok(PimOut {
-            id: ReqId(d.u64()?),
-            block: BlockAddr(d.u64()?),
-            output: OperandValue::load(d)?,
-        })
-    }
 }
 
 #[cfg(test)]

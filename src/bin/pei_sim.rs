@@ -26,9 +26,6 @@ struct Args {
     vm: bool,
     record: Option<String>,
     replay: Option<String>,
-    save_at: Option<u64>,
-    save_to: String,
-    resume: Option<String>,
     submit: Option<String>,
     tenant: Option<String>,
     priority: Option<String>,
@@ -56,17 +53,11 @@ OPTIONS:
                   (then run it)
       --replay F  run a trace previously saved with --record (workload /
                   size / budget arguments are ignored)
-      --save-at N pause at the first event boundary >= cycle N, write a
-                  machine snapshot (see --save-to), and exit
-      --save-to F snapshot path for --save-at          [default: pei.snap]
-      --resume F  restore the snapshot at F and run to completion; the
-                  workload is rebuilt from the snapshot's own metadata,
-                  so no other arguments are needed
       --submit S  don't simulate locally: submit the run to the pei-serve
                   daemon at S — a Unix socket path, or host:port for a
                   daemon listening with --tcp — and print its result
                   (incompatible with --ideal-host, --vm, --record,
-                  --replay, --save-at, and --resume)
+                  and --replay)
       --tenant T  tag the --submit under tenant T's fair-share queue
       --priority P  schedule the --submit in band P (high|normal|low)
       --connect-timeout MS  keep retrying the --submit connection (with
@@ -92,9 +83,6 @@ fn parse_args() -> Result<Args, String> {
         vm: false,
         record: None,
         replay: None,
-        save_at: None,
-        save_to: String::from("pei.snap"),
-        resume: None,
         submit: None,
         tenant: None,
         priority: None,
@@ -143,11 +131,6 @@ fn parse_args() -> Result<Args, String> {
             "--stats" => args.stats = true,
             "--record" => args.record = Some(value("--record")?),
             "--replay" => args.replay = Some(value("--replay")?),
-            "--save-at" => {
-                args.save_at = Some(value("--save-at")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--save-to" => args.save_to = value("--save-to")?,
-            "--resume" => args.resume = Some(value("--resume")?),
             "--submit" => args.submit = Some(value("--submit")?),
             "--tenant" => args.tenant = Some(value("--tenant")?),
             "--priority" => args.priority = Some(value("--priority")?),
@@ -170,23 +153,15 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if !saw_workload && args.replay.is_none() && args.resume.is_none() {
-        return Err("--workload is required (unless --replay or --resume)".into());
-    }
-    if args.resume.is_some() && (args.save_at.is_some() || args.record.is_some()) {
-        return Err("--resume cannot be combined with --save-at or --record".into());
+    if !saw_workload && args.replay.is_none() {
+        return Err("--workload is required (unless --replay)".into());
     }
     if args.submit.is_some()
-        && (args.ideal_host
-            || args.vm
-            || args.record.is_some()
-            || args.replay.is_some()
-            || args.save_at.is_some()
-            || args.resume.is_some())
+        && (args.ideal_host || args.vm || args.record.is_some() || args.replay.is_some())
     {
         return Err(
             "--submit sends a recipe the daemon can replay; --ideal-host, --vm, --record, \
-             --replay, --save-at, and --resume have no recipe form"
+             and --replay have no recipe form"
                 .into(),
         );
     }
@@ -348,96 +323,15 @@ fn submit_to_daemon(socket: &str, args: &Args) -> ! {
     std::process::exit(1);
 }
 
-/// The snapshot metadata keys `--save-at` writes and `--resume` reads
-/// to rebuild the identical workload without re-supplying arguments.
-fn snapshot_meta(args: &Args) -> Vec<(String, String)> {
-    let mut meta = vec![
-        ("tool".into(), "pei-sim".into()),
-        (
-            "workload".into(),
-            format!("{}", args.workload).to_lowercase(),
-        ),
-        ("size".into(), format!("{}", args.size).to_lowercase()),
-        (
-            "policy".into(),
-            match args.policy {
-                DispatchPolicy::HostOnly => "host",
-                DispatchPolicy::PimOnly => "pim",
-                DispatchPolicy::LocalityAware => "la",
-                DispatchPolicy::LocalityAwareBalanced => "bd",
-            }
-            .into(),
-        ),
-        ("paper".into(), format!("{}", args.paper)),
-        ("ideal_host".into(), format!("{}", args.ideal_host)),
-        ("budget".into(), format!("{}", args.budget)),
-        ("seed".into(), format!("{}", args.seed)),
-        ("vm".into(), format!("{}", args.vm)),
-    ];
-    if let Some(path) = &args.replay {
-        meta.push(("replay".into(), path.clone()));
-    }
-    meta
-}
-
-/// Rebuilds `--save-at`-era arguments from a snapshot's metadata.
-fn args_from_meta(snap: &Snapshot, resume_path: &str) -> Result<Args, String> {
-    let get = |k: &str| {
-        snap.meta_get(k)
-            .map(str::to_owned)
-            .ok_or_else(|| format!("snapshot {resume_path} has no `{k}` metadata"))
-    };
-    let parse_u64 = |k: &str| -> Result<u64, String> {
-        get(k)?
-            .parse()
-            .map_err(|e| format!("bad `{k}` metadata: {e}"))
-    };
-    Ok(Args {
-        workload: match get("workload")?.as_str() {
-            "atf" => Workload::Atf,
-            "bfs" => Workload::Bfs,
-            "pr" => Workload::Pr,
-            "sp" => Workload::Sp,
-            "wcc" => Workload::Wcc,
-            "hj" => Workload::Hj,
-            "hg" => Workload::Hg,
-            "rp" => Workload::Rp,
-            "sc" => Workload::Sc,
-            "svm" => Workload::Svm,
-            other => return Err(format!("unknown workload `{other}` in snapshot metadata")),
-        },
-        size: match get("size")?.as_str() {
-            "small" => InputSize::Small,
-            "medium" => InputSize::Medium,
-            "large" => InputSize::Large,
-            other => return Err(format!("unknown size `{other}` in snapshot metadata")),
-        },
-        policy: {
-            let v = get("policy")?;
-            parse_policy_short(&v)
-                .ok_or_else(|| format!("unknown policy `{v}` in snapshot metadata"))?
-        },
-        paper: get("paper")? == "true",
-        ideal_host: get("ideal_host")? == "true",
-        budget: parse_u64("budget")?,
-        seed: parse_u64("seed")?,
-        stats: false,
-        vm: get("vm")? == "true",
-        record: None,
-        replay: snap.meta_get("replay").map(str::to_owned),
-        save_at: None,
-        save_to: String::new(),
-        resume: None,
-        submit: None,
-        tenant: None,
-        priority: None,
-        connect_timeout_ms: 10_000,
-        deadline_ms: None,
-    })
+/// Prints `error: {msg}` and exits with status 2: a file that cannot be
+/// read or written is refused like a bad argument.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
 fn main() {
-    let cli = match parse_args() {
+    let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -445,46 +339,9 @@ fn main() {
         }
     };
 
-    if let Some(socket) = &cli.submit {
-        submit_to_daemon(socket, &cli);
+    if let Some(socket) = &args.submit {
+        submit_to_daemon(socket, &args);
     }
-
-    // Under --resume the run is described by the snapshot's own
-    // metadata, not the command line (only --stats carries over).
-    let mut resume_snap = None;
-    let args = if let Some(path) = &cli.resume {
-        let snap = match Snapshot::read(std::path::Path::new(path)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: cannot read snapshot {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let mut a = match args_from_meta(&snap, path) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
-        a.stats = cli.stats;
-        eprintln!(
-            "resuming {} ({}) under {} from {path} at cycle {}...",
-            a.workload,
-            a.size,
-            match a.policy {
-                DispatchPolicy::HostOnly => "host",
-                DispatchPolicy::PimOnly => "pim",
-                DispatchPolicy::LocalityAware => "la",
-                DispatchPolicy::LocalityAwareBalanced => "bd",
-            },
-            snap.cycle()
-        );
-        resume_snap = Some(snap);
-        a
-    } else {
-        cli
-    };
 
     let mut cfg = if args.paper {
         MachineConfig::paper(args.policy)
@@ -509,33 +366,39 @@ fn main() {
     };
 
     let (store, trace): (BackingStore, Box<dyn PhasedTrace>) = if let Some(path) = &args.replay {
-        if resume_snap.is_none() {
-            eprintln!("replaying {path} under {}...", cfg.policy);
-        }
-        let mut f =
-            std::io::BufReader::new(std::fs::File::open(path).expect("cannot open replay file"));
-        let store = BackingStore::load(&mut f).expect("corrupt store section");
-        let trace = RecordedTrace::load(&mut f).expect("corrupt trace section");
+        let f =
+            std::fs::File::open(path).unwrap_or_else(|e| fail(format!("cannot open {path}: {e}")));
+        let mut f = std::io::BufReader::new(f);
+        let store = BackingStore::load(&mut f)
+            .unwrap_or_else(|e| fail(format!("cannot replay {path}: {e}")));
+        let trace = RecordedTrace::load(&mut f)
+            .unwrap_or_else(|e| fail(format!("cannot replay {path}: {e}")));
+        eprintln!("replaying {path} under {}...", cfg.policy);
         (store, Box::new(trace))
     } else {
-        if resume_snap.is_none() {
-            eprintln!(
-                "running {} ({}) under {} on the {} machine (budget {} PEIs)...",
-                args.workload,
-                args.size,
-                cfg.policy,
-                if args.paper { "paper-scale" } else { "scaled" },
-                args.budget
-            );
-        }
+        // Create the record file first, so a bad path fails before the
+        // workload is built.
+        let record = args.record.as_ref().map(|path| {
+            let f = std::fs::File::create(path)
+                .unwrap_or_else(|e| fail(format!("cannot create {path}: {e}")));
+            (path, std::io::BufWriter::new(f))
+        });
+        eprintln!(
+            "running {} ({}) under {} on the {} machine (budget {} PEIs)...",
+            args.workload,
+            args.size,
+            cfg.policy,
+            if args.paper { "paper-scale" } else { "scaled" },
+            args.budget
+        );
         let (store, mut trace) = args.workload.build(args.size, &params);
-        if let Some(path) = &args.record {
+        if let Some((path, mut f)) = record {
             let rec = RecordedTrace::record(trace.as_mut());
-            let mut f = std::io::BufWriter::new(
-                std::fs::File::create(path).expect("cannot create record file"),
-            );
-            store.save(&mut f).expect("store write failed");
-            rec.save(&mut f).expect("trace write failed");
+            store
+                .save(&mut f)
+                .and_then(|()| rec.save(&mut f))
+                .and_then(|()| std::io::Write::flush(&mut f))
+                .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
             eprintln!(
                 "recorded {} ops across {} phases to {path}",
                 rec.total_ops(),
@@ -548,46 +411,8 @@ fn main() {
     };
     let mut sys = System::new(cfg, store);
     sys.add_workload(trace, (0..cfg.cores).collect());
-    if let Some(snap) = &resume_snap {
-        if let Err(e) = sys.restore(snap) {
-            eprintln!("error: cannot resume: {e}");
-            std::process::exit(1);
-        }
-    }
     let start = std::time::Instant::now();
-    let r = if let Some(at) = args.save_at {
-        match sys.run_paused(u64::MAX, Some(at)) {
-            RunStatus::Paused { at: cycle } => {
-                let snap = match sys.snapshot_with_meta(&snapshot_meta(&args)) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: cannot snapshot: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                if let Err(e) = snap.write(std::path::Path::new(&args.save_to)) {
-                    eprintln!("error: cannot write {}: {e}", args.save_to);
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "saved snapshot at cycle {cycle} ({} bytes) to {}; resume with --resume {}",
-                    snap.as_bytes().len(),
-                    args.save_to,
-                    args.save_to
-                );
-                return;
-            }
-            RunStatus::Completed(r) => {
-                eprintln!(
-                    "run completed at cycle {} before --save-at {at}; nothing saved",
-                    r.cycles
-                );
-                r
-            }
-        }
-    } else {
-        sys.run(u64::MAX)
-    };
+    let r = sys.run(u64::MAX);
     let wall = start.elapsed();
 
     println!("cycles           {:>14}", r.cycles);
