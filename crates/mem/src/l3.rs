@@ -96,6 +96,9 @@ pub struct L3Bank {
     id: L3BankId,
     array: CacheArray,
     txns: FastMap<BlockAddr, Txn>,
+    /// Fill transactions waiting for their victim's recall acks, keyed
+    /// by the victim's block.
+    victims: FastMap<BlockAddr, BlockAddr>,
     txn_cap: usize,
     overflow: VecDeque<L3In>,
     port: Occupancy,
@@ -142,6 +145,7 @@ impl L3Bank {
             id,
             array: CacheArray::with_shift(cfg.l3_sets_per_bank(), cfg.l3.ways, cfg.l3_bank_bits()),
             txns: FastMap::default(),
+            victims: FastMap::default(),
             txn_cap: cfg.l3_mshrs,
             overflow: VecDeque::new(),
             port: Occupancy::new(),
@@ -334,6 +338,7 @@ impl L3Bank {
                 } else {
                     self.counters.add(self.c.recalls, n as u64);
                     let victim_block = v.block;
+                    self.victims.insert(victim_block, req.block);
                     self.txns.insert(
                         req.block,
                         Txn {
@@ -504,17 +509,19 @@ impl L3Bank {
     }
 
     fn on_ack(&mut self, now: Cycle, ack: RecallAck, out: &mut Outbox<L3Out>) {
-        // Fill-transaction recalls target the *victim* block, so look up by
-        // either the transaction key (grant/flush) or the victim address.
-        let key = if self.txns.contains_key(&ack.block) {
-            ack.block
-        } else {
-            match self.txns.iter().find(|(_, t)| {
-                matches!(&t.kind, TxnKind::Fill { victim: Some(v), .. } if v.block == ack.block)
-            }) {
-                Some((k, _)) => *k,
-                None => return, // stale ack after a raced eviction
+        // A fill's recalls target its *victim*, which has left the array,
+        // so no grant or flush can be keyed by that block, but a later
+        // fill for the very same block can be: ask the victim index first.
+        let key = match self.victims.get(&ack.block) {
+            Some(&fill) => fill,
+            None if self
+                .txns
+                .get(&ack.block)
+                .is_some_and(|t| t.phase == Phase::RecallAcks) =>
+            {
+                ack.block
             }
+            None => return, // stale ack after a raced eviction
         };
         let txn = self.txns.get_mut(&key).expect("just found");
         txn.dirty_seen |= ack.dirty;
@@ -540,6 +547,7 @@ impl L3Bank {
             }
             TxnKind::Fill { req, victim } => {
                 let v = victim.expect("victim-phase fill has a victim");
+                self.victims.remove(&v.block);
                 if v.dirty || txn.dirty_seen {
                     self.writeback(at, v.block, out);
                 }
@@ -988,6 +996,75 @@ mod tests {
         assert!(out
             .iter()
             .any(|o| matches!(o, L3Out::Resp { resp, .. } if resp.block == BlockAddr(2))));
+        assert!(b.is_quiescent());
+    }
+
+    /// A late victim-recall ack is credited to the fill that evicted the
+    /// victim, even after a new fill keyed by the victim's own block has
+    /// opened.
+    #[test]
+    fn late_victim_ack_credits_the_evicting_fill() {
+        let cfg = MemHierarchyConfig {
+            l3: crate::CacheConfig::new(64 * 2, 2, 20), // one set, two ways
+            l3_banks: 1,
+            ..MemHierarchyConfig::scaled()
+        };
+        let mut b = L3Bank::new(L3BankId(0), &cfg);
+        let ack = |core: u16, block: u64| {
+            L3In::Ack(RecallAck {
+                core: CoreId(core),
+                block: BlockAddr(block),
+                dirty: false,
+                was_present: true,
+            })
+        };
+        let fetches = |out: &Outbox<L3Out>| -> Vec<BlockAddr> {
+            out.iter()
+                .filter_map(|o| match o {
+                    L3Out::Fetch { fetch, .. } if !fetch.write => Some(fetch.block),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Block 0 shared by cores 0 and 1; block 1, more recent, owned by
+        // core 2.
+        warm(&mut b, gets(1, 0, 0));
+        let mut out = Outbox::new();
+        b.handle(200, gets(2, 1, 0), &mut out);
+        b.handle(210, ack(0, 0), &mut out);
+        assert_eq!(b.dir_state(BlockAddr(0)), (true, 2, None));
+        warm(&mut b, gets(3, 2, 1));
+        // A fill for block 2 evicts block 0 and recalls both sharers.
+        out.clear();
+        b.handle(300, gets(4, 3, 2), &mut out);
+        assert!(!b.holds(BlockAddr(0)));
+        // Core 0 acks, then asks for block 0 again: a fill keyed 0 opens
+        // and recalls its own victim, block 1, from core 2.
+        b.handle(310, ack(0, 0), &mut out);
+        out.clear();
+        b.handle(320, gets(5, 0, 0), &mut out);
+        assert!(out.iter().any(|o| matches!(o, L3Out::Recall { recall, .. }
+                if recall.block == BlockAddr(1) && recall.core == CoreId(2))));
+        // Core 1's late ack for block 0 completes the fill for block 2,
+        // not the fill keyed 0, which still waits for block 1.
+        out.clear();
+        b.handle(330, ack(1, 0), &mut out);
+        assert_eq!(fetches(&out), [BlockAddr(2)]);
+        out.clear();
+        b.handle(340, ack(2, 1), &mut out);
+        assert_eq!(fetches(&out), [BlockAddr(0)]);
+        for block in [2, 0] {
+            out.clear();
+            let done = MemFetchDone {
+                id: ReqId(0),
+                block: BlockAddr(block),
+            };
+            b.handle(400, L3In::FetchDone(done), &mut out);
+            assert!(out
+                .iter()
+                .any(|o| matches!(o, L3Out::Resp { resp, .. } if resp.block == BlockAddr(block))));
+        }
+        assert_eq!(b.inflight(), 0);
         assert!(b.is_quiescent());
     }
 

@@ -25,14 +25,22 @@ pub struct MshrEntry {
     pub block: BlockAddr,
     /// The permission level requested from the L3.
     pub issued: L3ReqKind,
-    /// Requests waiting on this fill.
-    pub waiters: Vec<Waiter>,
+    /// The request that allocated the entry, kept inline so that a miss
+    /// with no merged requests allocates nothing.
+    pub first: Waiter,
+    /// Requests merged after it, in arrival order.
+    pub merged: Vec<Waiter>,
 }
 
 impl MshrEntry {
+    /// Requests waiting on this fill, in arrival order.
+    pub fn waiters(&self) -> impl Iterator<Item = &Waiter> {
+        std::iter::once(&self.first).chain(&self.merged)
+    }
+
     /// Whether any waiter needs write permission.
     pub fn wants_write(&self) -> bool {
-        self.waiters.iter().any(|w| w.write)
+        self.waiters().any(|w| w.write)
     }
 }
 
@@ -92,7 +100,8 @@ impl MshrFile {
             MshrEntry {
                 block,
                 issued,
-                waiters: vec![Waiter { id, write }],
+                first: Waiter { id, write },
+                merged: Vec::new(),
             },
         );
         self.peak = self.peak.max(self.entries.len());
@@ -104,7 +113,7 @@ impl MshrFile {
     pub fn merge(&mut self, block: BlockAddr, id: ReqId, write: bool) -> bool {
         match self.entries.get_mut(&block) {
             Some(e) => {
-                e.waiters.push(Waiter { id, write });
+                e.merged.push(Waiter { id, write });
                 self.merges += 1;
                 true
             }
@@ -201,7 +210,7 @@ mod tests {
         let mut m = MshrFile::new(1);
         m.alloc(blk(1), L3ReqKind::GetS, ReqId(1), false);
         let e = m.retire(blk(1)).unwrap();
-        assert_eq!(e.waiters.len(), 1);
+        assert_eq!(e.waiters().count(), 1);
         assert!(m.is_empty());
         assert!(m.has_room());
         assert!(m.retire(blk(1)).is_none());

@@ -255,7 +255,7 @@ impl PrivateCache {
             // pending: the Put notice below reaches the L3 after it has
             // granted that miss, erasing us from the presence mask while
             // we hold the granted copy. Mark it for the MESI auditor.
-            if self.mshr.blocks().any(|b| b == victim.block) {
+            if self.mshr.contains(victim.block) {
                 self.overtaken.insert(victim.block.0);
             }
             self.counters
@@ -286,7 +286,7 @@ impl PrivateCache {
         // Single pass, no staging buffer: the first unsatisfied writer
         // re-allocates the MSHR entry, later ones merge into it.
         let mut first_reissue: Option<Waiter> = None;
-        for w in &entry.waiters {
+        for w in entry.waiters() {
             if w.write && !granted.writable() {
                 if first_reissue.is_none() {
                     self.counters.inc(self.c.upgrades);
@@ -372,7 +372,7 @@ impl PrivateCache {
                 // a copy the L3 no longer tracks. Mark it for the MESI
                 // auditor; the simulation itself is unaffected (values
                 // live in the backing store).
-                if self.mshr.blocks().any(|b| b == recall.block) {
+                if self.mshr.contains(recall.block) {
                     self.overtaken.insert(recall.block.0);
                 }
                 (false, false)

@@ -183,9 +183,97 @@ pub mod rngs {
     /// The workspace's standard deterministic generator: xoshiro256**
     /// with SplitMix64 seeding. Unlike upstream `rand`, the stream is
     /// stable across releases — experiment outputs depend only on seeds.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct StdRng {
         s: [u64; 4],
+    }
+
+    impl StdRng {
+        /// Moves the generator `steps` draws ahead, to the state `steps`
+        /// calls of [`Rng::next_u64`] would leave, in O(log `steps`)
+        /// work. (Upstream `rand` has no such method; `rand_pcg` calls
+        /// its counterpart `advance`.)
+        ///
+        /// The state update is linear over GF(2), so `steps` updates are
+        /// one 256×256 bit-matrix power, built by repeated squaring.
+        pub fn advance(&mut self, mut steps: u64) {
+            if steps == 0 {
+                return;
+            }
+            let mut power = Linear::update();
+            loop {
+                if steps & 1 == 1 {
+                    self.s = power.apply(&self.s);
+                }
+                steps >>= 1;
+                if steps == 0 {
+                    return;
+                }
+                power = power.square();
+            }
+        }
+    }
+
+    /// xoshiro256**'s state update, without its output.
+    #[inline(always)]
+    fn update(s: &mut [u64; 4]) {
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+    }
+
+    /// A GF(2)-linear map on generator states, kept as a table per
+    /// 4-bit group of the input: entry `[g][x]` is the image of the
+    /// state whose only set bits are `x` placed at bits `4g..4g + 4`.
+    struct Linear(Box<[[[u64; 4]; 16]; 64]>);
+
+    impl Linear {
+        /// The map whose image of the state with only bit `j` set is
+        /// `columns[j]`.
+        fn from_columns(columns: &[[u64; 4]; 256]) -> Linear {
+            let mut tables = Box::new([[[0; 4]; 16]; 64]);
+            for (table, columns) in tables.iter_mut().zip(columns.chunks(4)) {
+                for x in 1..16usize {
+                    let low = x & x.wrapping_neg();
+                    let column = columns[low.trailing_zeros() as usize];
+                    table[x] = std::array::from_fn(|w| table[x ^ low][w] ^ column[w]);
+                }
+            }
+            Linear(tables)
+        }
+
+        /// One state update.
+        fn update() -> Linear {
+            Linear::from_columns(&std::array::from_fn(|j| {
+                let mut s = [0; 4];
+                s[j / 64] = 1 << (j % 64);
+                update(&mut s);
+                s
+            }))
+        }
+
+        /// The map applied to `s`.
+        fn apply(&self, s: &[u64; 4]) -> [u64; 4] {
+            let mut out = [0; 4];
+            for (g, table) in self.0.iter().enumerate() {
+                let image = &table[(s[g / 16] >> (g % 16 * 4) & 15) as usize];
+                for (o, i) in out.iter_mut().zip(image) {
+                    *o ^= i;
+                }
+            }
+            out
+        }
+
+        /// The map applied twice.
+        fn square(&self) -> Linear {
+            Linear::from_columns(&std::array::from_fn(|j| {
+                self.apply(&self.0[j / 4][1 << (j % 4)])
+            }))
+        }
     }
 
     impl SeedableRng for StdRng {
@@ -207,13 +295,7 @@ pub mod rngs {
     impl Rng for StdRng {
         fn next_u64(&mut self) -> u64 {
             let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-            let t = self.s[1] << 17;
-            self.s[2] ^= self.s[0];
-            self.s[3] ^= self.s[1];
-            self.s[1] ^= self.s[2];
-            self.s[0] ^= self.s[3];
-            self.s[2] ^= t;
-            self.s[3] = self.s[3].rotate_left(45);
+            update(&mut self.s);
             result
         }
     }
@@ -265,6 +347,21 @@ mod tests {
         assert!((700..1300).contains(&hits), "hits = {hits}");
         assert!((0..10_000).all(|_| !r.gen_bool(0.0)));
         assert!((0..10_000).all(|_| r.gen_bool(1.0)));
+    }
+
+    /// Jumping `k` draws ahead leaves the state of `k` sequential draws.
+    #[test]
+    fn advance_matches_sequential_draws() {
+        for k in [0u64, 1, 2, 64, (1 << 20) + 3] {
+            let mut jumped = StdRng::seed_from_u64(24301);
+            jumped.advance(k);
+            let mut stepped = StdRng::seed_from_u64(24301);
+            for _ in 0..k {
+                stepped.next_u64();
+            }
+            assert_eq!(jumped, stepped, "k = {k}");
+            assert_eq!(jumped.next_u64(), stepped.next_u64(), "k = {k}");
+        }
     }
 
     #[test]

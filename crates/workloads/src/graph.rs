@@ -12,7 +12,7 @@ use pei_mem::BackingStore;
 use pei_types::Addr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
 /// A directed graph in CSR form.
 #[derive(Debug, Clone)]
@@ -53,7 +53,8 @@ impl Graph {
     /// does not depend on their number). The part count is a machine
     /// fact, not an option: the cores [`std::thread::available_parallelism`]
     /// reports, capped so each part has at least `MIN_EDGES_PER_PART`
-    /// candidate edges and the parts' per-vertex counters together stay
+    /// candidate edges, and at `avg_deg / 2` parts, which keeps the
+    /// parts' per-vertex counters of a build with single-row buckets
     /// within half of `adj`. Small graphs are built in one part on the
     /// calling thread.
     ///
@@ -61,13 +62,19 @@ impl Graph {
     ///
     /// Panics if `n == 0` or if `n * avg_deg` exceeds `u32::MAX`.
     pub fn power_law(n: usize, avg_deg: usize, seed: u64) -> Graph {
-        let most = (n.saturating_mul(avg_deg) / MIN_EDGES_PER_PART).min(avg_deg / 2);
+        let m = n.saturating_mul(avg_deg);
+        let most = (m / MIN_EDGES_PER_PART).min(avg_deg / 2);
         let parts = if most > 1 {
             most.min(std::thread::available_parallelism().map_or(1, |c| c.get()))
         } else {
             1
         };
-        power_law_parts(n, avg_deg, seed, parts)
+        let shift = if m < MIN_EDGES_TO_BUCKET {
+            0
+        } else {
+            BUCKET_SHIFT
+        };
+        power_law_parts(n, avg_deg, seed, parts, shift)
     }
 }
 
@@ -78,123 +85,232 @@ impl Graph {
 /// thread (EXPERIMENTS.md, "Parallel graph generation").
 const MIN_EDGES_PER_PART: usize = 1 << 17;
 
-/// [`Graph::power_law`] built in `parts` segments of the edge stream.
+/// Fewest candidate edges worth bucketing (8 MiB of `adj`). Below this
+/// size a scatter straight into rows, with single-row buckets and no
+/// side array or grouping, measured as fast as the bucketed build or
+/// faster, at one part and at two (EXPERIMENTS.md, "Parallel graph
+/// generation").
+const MIN_EDGES_TO_BUCKET: usize = 1 << 21;
+
+/// Rows per source bucket, as a power of two. A bucket's candidates
+/// (about 10 KiB of `adj` at 10 per row) are grouped within a core's
+/// first-level cache, and a row's index within its bucket fits a byte,
+/// so the side array is a quarter the size of `adj`.
+const BUCKET_SHIFT: u32 = 8;
+
+/// Rows up to this long are sorted by counting, for each entry, the
+/// entries below it: quadratic in the row's length, but free of the
+/// mispredicted branches of an insertion sort. At 10 candidates per row
+/// nearly every row is this short.
+const SHORT_ROW: usize = 32;
+
+/// An empty place in a row being sorted; no vertex has this id, since
+/// `n * avg_deg` fits in a `u32`.
+const EMPTY: u32 = u32::MAX;
+
+/// [`Graph::power_law`] built in `parts` segments of the edge stream,
+/// with buckets of `1 << shift` rows.
 ///
 /// The stream holds `m = n * avg_deg` candidate edges, each a uniform
 /// source and a power-law destination; a self-loop candidate is no edge.
-/// A *segment* is one of `parts` equal slices of that stream.
+/// Each candidate takes exactly two draws, so candidate `i` starts
+/// `2 * i` draws into the stream. A *segment* is one of `parts` equal
+/// slices of the stream, and a *bucket* is `1 << shift` consecutive
+/// rows.
 ///
-/// 1. *Count* (serial): walk the stream once, drawing only each
-///    candidate's source. Keep each segment's RNG state at its start
-///    and its per-source counts. Self-loops are counted too: telling
-///    them apart would mean evaluating the destination.
-/// 2. *Place*: row `v` starts at the sum of all counts of the rows
-///    before it, and segment `p` writes its part of row `v` after the
-///    slots of segments `0..p`. No two segments share a slot.
-/// 3. *Scatter* (one thread per segment): replay the segment from its
-///    saved RNG state and write each destination into the next slot of
-///    its source's row. A self-loop writes the row's own id.
-/// 4. *Sort and dedup* (one thread per vertex range): sort each row,
+/// 1. *Count* (one thread per segment): jump the generator to the
+///    segment's first candidate and count its candidates per source
+///    bucket. The destination's draw is taken but not evaluated.
+/// 2. *Place*: bucket `b`'s window of `adj` follows the windows of
+///    buckets `0..b`, and segment `p`'s share of the window follows the
+///    shares of segments `0..p`. No two segments share a slot.
+/// 3. *Scatter* (one thread per segment): replay the segment and append
+///    each candidate to its share of its source's bucket: the
+///    destination to `adj`, and (unless buckets are single rows) the
+///    source's row within the bucket to a side array of bytes. A
+///    self-loop keeps the row's own id.
+/// 4. *Sort and dedup* (one thread per bucket range): group each
+///    bucket's window by row with a counting sort, then sort each row,
 ///    drop repeats and the row's own id, and compact the range. A last
 ///    serial pass moves the ranges together and fixes `xadj`.
 ///
 /// Every row receives the same multiset of candidate destinations
 /// however the stream is split, and every row ends sorted and free of
-/// duplicates, so the graph is the same for every `parts`.
-fn power_law_parts(n: usize, avg_deg: usize, seed: u64, parts: usize) -> Graph {
-    let (perm, mut rng) = popularity(n, seed);
+/// duplicates, so the graph is the same for every `parts` and `shift`.
+/// No step outside the threads is O(m). Memory beyond `adj` is the side
+/// array and one bucket's window per sorting thread.
+fn power_law_parts(n: usize, avg_deg: usize, seed: u64, parts: usize, shift: u32) -> Graph {
+    assert!(shift <= u8::BITS, "a row within its bucket must fit a byte");
+    let (perm, rng) = popularity(n, seed);
     let m = n
         .checked_mul(avg_deg)
         .and_then(|m| u32::try_from(m).ok())
         .expect("a graph's n * avg_deg must fit in u32") as usize;
-    let mut segments = Vec::with_capacity(parts);
-    let mut done = 0;
-    for p in 1..=parts {
-        let end = m * p / parts;
-        let start = rng.clone();
-        let mut next = vec![0u32; n];
-        for _ in done..end {
-            next[rng.gen_range(0..n as u32) as usize] += 1;
-            rng.gen::<u64>(); // the destination's draw
+    let buckets = n.div_ceil(1 << shift);
+    // The counts are allocated here, not on the segments' threads, so
+    // every large allocation of the build comes from the caller's arena.
+    let segments = (0..parts).map(|p| (m * p / parts..m * (p + 1) / parts, vec![0u32; buckets]));
+    let mut counted = on_threads(segments.collect(), |(candidates, mut counts)| {
+        let start = segment_start(&rng, candidates.start);
+        let mut rng = start.clone();
+        for _ in candidates.clone() {
+            counts[rng.gen_range(0..n as u32) as usize >> shift] += 1;
+            rng.next_u64(); // the destination's draw
         }
-        segments.push((start, end - done, next));
-        done = end;
-    }
+        (start, candidates.len(), counts)
+    });
     // Turn each segment's counts into the slot of its first candidate in
-    // each row; `xadj` holds the rows' starts until the dedup.
-    let mut xadj = vec![0u32; n + 1];
+    // each bucket.
     let mut slot = 0;
-    for v in 0..n {
-        xadj[v] = slot;
-        for (_, _, next) in &mut segments {
-            let count = next[v];
-            next[v] = slot;
+    for b in 0..buckets {
+        for (_, _, next) in &mut counted {
+            let count = next[b];
+            next[b] = slot;
             slot += count;
         }
     }
-    xadj[n] = slot;
 
     let mut adj = vec![0u32; m];
-    {
+    // Each candidate's row within its bucket; single rows need none.
+    let mut rows = vec![0u8; if shift > 0 { m } else { 0 }];
+    // After the scatter, the last segment's cursors stand at the end of
+    // each bucket's window.
+    let bucket_ends = {
         const _: () = assert!(std::mem::align_of::<AtomicU32>() == std::mem::align_of::<u32>());
-        // SAFETY: `AtomicU32` has the same size, alignment (asserted
-        // above) and bit validity as `u32`, and `adj` is exclusively
-        // borrowed for the view's lifetime. Segments store to disjoint
-        // slots, so the relaxed stores are plain writes that never race;
-        // joining the segments' threads orders every store before `adj`
-        // is read again. The view keeps the allocator's lazily zeroed
-        // `vec![0; m]`: the safe way to share `adj`, a `Vec<AtomicU32>`
-        // built element by element, zero-fills it serially before the
-        // scatter and measured 16 % slower at two parts (EXPERIMENTS.md,
-        // "Parallel graph generation").
-        let slots: &[AtomicU32] =
-            unsafe { &*(adj.as_mut_slice() as *mut [u32] as *const [AtomicU32]) };
-        on_threads(segments, |(mut rng, len, mut next)| {
-            for _ in 0..len {
-                let src = rng.gen_range(0..n as u32) as usize;
-                let dst = destination(&mut rng, &perm);
-                slots[next[src] as usize].store(dst, Ordering::Relaxed);
-                next[src] += 1;
-            }
-        });
-    }
+        // SAFETY: `AtomicU32` and `AtomicU8` have the same size,
+        // alignment (asserted above for `AtomicU32`; both byte types
+        // have alignment 1) and bit validity as `u32` and `u8`, and
+        // `adj` and `rows` are exclusively borrowed for the views'
+        // lifetime. Segments store to disjoint slots, so the relaxed
+        // stores are plain writes that never race; joining the segments'
+        // threads orders every store before the arrays are read again.
+        // The views keep the allocator's lazily zeroed `vec![0; m]`: the
+        // safe way to share `adj`, a `Vec<AtomicU32>` built element by
+        // element, zero-fills it serially before the scatter and measured
+        // 16 % slower at two parts (EXPERIMENTS.md, "Parallel graph
+        // generation").
+        let (dsts, srcs) = unsafe {
+            (
+                &*(adj.as_mut_slice() as *mut [u32] as *const [AtomicU32]),
+                &*(rows.as_mut_slice() as *mut [u8] as *const [AtomicU8]),
+            )
+        };
+        let mut cursors = if shift == 0 {
+            on_threads(counted, |(mut rng, len, mut next)| {
+                for _ in 0..len {
+                    let src = rng.gen_range(0..n as u32) as usize;
+                    let dst = perm[rank(&mut rng, n)];
+                    dsts[next[src] as usize].store(dst, Ordering::Relaxed);
+                    next[src] += 1;
+                }
+                next
+            })
+        } else {
+            on_threads(counted, |(mut rng, len, mut next)| {
+                // Draw a batch of candidates before looking their
+                // destinations up, so the lookups, independent of each
+                // other, overlap their cache misses.
+                const BATCH: usize = 256;
+                let mut batch = [(0, 0); BATCH];
+                for first in (0..len).step_by(BATCH) {
+                    let batch = &mut batch[..(len - first).min(BATCH)];
+                    for candidate in batch.iter_mut() {
+                        let src = rng.gen_range(0..n as u32) as usize;
+                        *candidate = (src, rank(&mut rng, n));
+                    }
+                    for &(src, rank) in batch.iter() {
+                        let slot = &mut next[src >> shift];
+                        let row = (src & ((1 << shift) - 1)) as u8;
+                        dsts[*slot as usize].store(perm[rank], Ordering::Relaxed);
+                        srcs[*slot as usize].store(row, Ordering::Relaxed);
+                        *slot += 1;
+                    }
+                }
+                next
+            })
+        };
+        cursors.pop().expect("one segment at least")
+    };
+    drop(perm);
+    let mut xadj = vec![0u32; n + 1];
+    let window_start = |b: usize| b.checked_sub(1).map_or(0, |b| bucket_ends[b] as usize);
 
-    // Split the rows into `parts` vertex ranges, each with its slice of
+    // Split the buckets into `parts` ranges, each with its window of
     // `adj` and its rows' ends in `xadj`.
     let mut ranges = Vec::with_capacity(parts);
     let (mut rest_adj, mut rest_ends) = (adj.as_mut_slice(), &mut xadj[1..]);
-    let (mut lo, mut base) = (0, 0);
+    let mut lo = 0;
     for p in 1..=parts {
-        let hi = n * p / parts;
-        let (ends, tail) = std::mem::take(&mut rest_ends).split_at_mut(hi - lo);
-        rest_ends = tail;
-        let end = ends.last().map_or(base, |&e| e as usize);
-        let (rows, tail) = std::mem::take(&mut rest_adj).split_at_mut(end - base);
+        let hi = buckets * p / parts;
+        let (dsts, tail) =
+            std::mem::take(&mut rest_adj).split_at_mut(window_start(hi) - window_start(lo));
         rest_adj = tail;
-        ranges.push((lo, base, rows, ends));
-        (lo, base) = (hi, end);
+        let vertices = lo << shift..(hi << shift).min(n);
+        let (ends, tail) = std::mem::take(&mut rest_ends).split_at_mut(vertices.len());
+        rest_ends = tail;
+        ranges.push((lo..hi, dsts, ends));
+        lo = hi;
     }
-    // Each range sorts and dedups its rows in place, leaving each row's
-    // end relative to the range's compacted rows.
-    let kept = on_threads(ranges, |(lo, base, rows, ends)| {
+    // Each range groups its buckets by row, then sorts and dedups its
+    // rows in place, leaving each row's end relative to the range's
+    // compacted rows.
+    let kept = on_threads(ranges, |(range, dsts, ends)| {
+        let base = window_start(range.start);
+        if shift == 0 {
+            for (end, &stop) in ends.iter_mut().zip(&bucket_ends[range.clone()]) {
+                *end = stop - base as u32;
+            }
+        } else {
+            let (mut next, mut grouped) = (vec![0; n.min(1 << shift)], Vec::new());
+            for (b, ends) in range.clone().zip(ends.chunks_mut(1 << shift)) {
+                let window = window_start(b)..bucket_ends[b] as usize;
+                let srcs = &rows[window.clone()];
+                let window = window.start - base..window.end - base;
+                group_rows(
+                    &mut dsts[window.clone()],
+                    srcs,
+                    ends,
+                    &mut next,
+                    &mut grouped,
+                );
+                for end in ends {
+                    *end += window.start as u32;
+                }
+            }
+        }
         let (mut start, mut len) = (0, 0);
-        for (v, end) in (lo as u32..).zip(ends.iter_mut()) {
-            let stop = *end as usize - base;
-            rows[start..stop].sort_unstable();
-            let mut last = None;
-            for i in start..stop {
-                let d = rows[i];
-                if d != v && last != Some(d) {
-                    last = Some(d);
-                    rows[len] = d;
+        let mut sorted = Vec::with_capacity(SHORT_ROW);
+        for (v, end) in ((range.start << shift) as u32..).zip(ends.iter_mut()) {
+            let stop = *end as usize;
+            let row = &dsts[start..stop];
+            sorted.clear();
+            if row.len() <= SHORT_ROW {
+                // An entry's place is the count of entries below it, so
+                // repeats share a place and their copies' places stay
+                // empty.
+                sorted.resize(row.len(), EMPTY);
+                for &d in row {
+                    sorted[row.iter().filter(|&&e| e < d).count()] = d;
+                }
+            } else {
+                sorted.extend_from_slice(row);
+                sorted.sort_unstable();
+            }
+            let mut last = EMPTY;
+            for &d in &sorted {
+                if d != v && d != last && d != EMPTY {
+                    last = d;
+                    dsts[len] = d;
                     len += 1;
                 }
             }
             *end = len as u32;
             start = stop;
         }
-        (lo..lo + ends.len(), base, len)
+        let first = range.start << shift;
+        (first..first + ends.len(), base, len)
     });
+    drop(rows);
     let mut len = 0;
     for (vertices, base, kept) in kept {
         if base > len {
@@ -210,6 +326,45 @@ fn power_law_parts(n: usize, avg_deg: usize, seed: u64, parts: usize) -> Graph {
     // slack.
     adj.shrink_to_fit();
     Graph { n, xadj, adj }
+}
+
+/// The generator at candidate `first` of the stream that starts at
+/// `stream`: two draws per candidate ahead.
+fn segment_start(stream: &StdRng, first: usize) -> StdRng {
+    let mut rng = stream.clone();
+    rng.advance(2 * first as u64);
+    rng
+}
+
+/// Groups a bucket's window by row, with a counting sort through
+/// `grouped`: `dsts[i]` belongs to row `rows[i]` of the bucket. Leaves
+/// in `ends[r]` the end of row `r`'s group; `next` is working space of
+/// at least `ends.len()` entries.
+fn group_rows(
+    dsts: &mut [u32],
+    rows: &[u8],
+    ends: &mut [u32],
+    next: &mut [u32],
+    grouped: &mut Vec<u32>,
+) {
+    ends.fill(0);
+    for &r in rows {
+        ends[r as usize] += 1;
+    }
+    let mut sum = 0;
+    for (end, next) in ends.iter_mut().zip(next.iter_mut()) {
+        *next = sum;
+        sum += *end;
+        *end = sum;
+    }
+    grouped.clear();
+    grouped.resize(dsts.len(), 0);
+    for (&d, &r) in dsts.iter().zip(rows) {
+        let slot = &mut next[r as usize];
+        grouped[*slot as usize] = d;
+        *slot += 1;
+    }
+    dsts.copy_from_slice(grouped);
 }
 
 /// Runs `work` on every item, the first on the calling thread and each
@@ -249,15 +404,13 @@ fn popularity(n: usize, seed: u64) -> (Vec<u32>, StdRng) {
     (perm, rng)
 }
 
-/// A candidate edge's destination, the second of its two draws (the
-/// first is its uniform source).
-fn destination(rng: &mut StdRng, perm: &[u32]) -> u32 {
-    let n = perm.len();
+/// A candidate edge's popularity rank, from the second of its two draws
+/// (the first is its uniform source); its destination is `perm[rank]`.
+fn rank(rng: &mut StdRng, n: usize) -> usize {
     // u^3 concentrates mass on low ranks: P(rank r) ~ r^(-2/3)
     // tail, a recognizable power law.
     let u: f64 = rng.gen_range(0.0f64..1.0);
-    let rank = ((u * u * u) * n as f64) as usize;
-    perm[rank.min(n - 1)]
+    (((u * u * u) * n as f64) as usize).min(n - 1)
 }
 
 /// Addresses of a graph's data structures in simulated memory: the CSR
@@ -364,46 +517,112 @@ mod tests {
         (src != dst).then_some((src, dst))
     }
 
-    /// The segment build gives exactly the graph of collecting the edge
-    /// stream, sorting it and dropping duplicates, at the default part
-    /// count and at three parts.
+    /// The graph of collecting the edge stream, sorting it and dropping
+    /// duplicates, as `(xadj, adj)`.
+    fn reference(n: usize, avg_deg: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
+        let (perm, mut rng) = popularity(n, seed);
+        let mut edges: Vec<(u32, u32)> = (0..n * avg_deg)
+            .filter_map(|_| sample_edge(&mut rng, &perm))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let mut xadj = vec![0u32; n + 1];
+        for &(s, _) in &edges {
+            xadj[s as usize + 1] += 1;
+        }
+        for i in 0..n {
+            xadj[i + 1] += xadj[i];
+        }
+        (xadj, edges.iter().map(|&(_, d)| d).collect())
+    }
+
+    /// The build gives exactly the reference graph at the default part
+    /// count and bucket size (two parts for the last shape), and at three
+    /// parts with either bucket size, with rows longer than `SHORT_ROW`
+    /// in the second shape.
     #[test]
     fn matches_sorted_edge_list_reference() {
-        for (n, avg_deg, seed) in [(1, 4, 0), (300, 3, 5), (20_000, 10, 24301)] {
-            let (perm, mut rng) = popularity(n, seed);
-            let mut edges: Vec<(u32, u32)> = (0..n * avg_deg)
-                .filter_map(|_| sample_edge(&mut rng, &perm))
-                .collect();
-            edges.sort_unstable();
-            edges.dedup();
-            let mut xadj = vec![0u32; n + 1];
-            for &(s, _) in &edges {
-                xadj[s as usize + 1] += 1;
-            }
-            for i in 0..n {
-                xadj[i + 1] += xadj[i];
-            }
-            let adj: Vec<u32> = edges.iter().map(|&(_, d)| d).collect();
+        let shapes = [
+            (1, 4, 0),
+            (50, 80, 3),
+            (300, 3, 5),
+            (20_000, 10, 24301),
+            (26_215, 10, 7),
+        ];
+        for (n, avg_deg, seed) in shapes {
+            let want = reference(n, avg_deg, seed);
             let g = Graph::power_law(n, avg_deg, seed);
-            assert_eq!((g.xadj, g.adj), (xadj.clone(), adj.clone()), "n = {n}");
-            let g = power_law_parts(n, avg_deg, seed, 3);
-            assert_eq!((g.xadj, g.adj), (xadj, adj), "n = {n}, 3 parts");
+            assert_eq!((g.xadj, g.adj), want, "n = {n}");
+            for shift in [0, BUCKET_SHIFT] {
+                let g = power_law_parts(n, avg_deg, seed, 3, shift);
+                assert_eq!((g.xadj, g.adj), want, "n = {n}, 3 parts, shift {shift}");
+            }
         }
     }
 
-    /// The graph does not depend on the part count, including more parts
-    /// than rows and segments shorter than one row.
+    /// The graph depends on neither the part count nor the bucket size,
+    /// including more parts than rows and segments shorter than one row.
     #[test]
     fn parts_do_not_change_the_graph() {
         for (n, avg_deg, seed) in [(1, 4, 0), (2, 3, 1), (300, 3, 5), (20_000, 10, 24301)] {
-            let one = power_law_parts(n, avg_deg, seed, 1);
-            for parts in 2..=5 {
-                let g = power_law_parts(n, avg_deg, seed, parts);
-                assert_eq!(g.xadj, one.xadj, "n = {n}, {parts} parts");
-                assert_eq!(g.adj, one.adj, "n = {n}, {parts} parts");
-                assert_eq!(g.adj.capacity(), g.adj.len(), "n = {n}, {parts} parts");
+            let one = power_law_parts(n, avg_deg, seed, 1, 0);
+            for parts in 1..=5 {
+                for shift in [0, 3, BUCKET_SHIFT] {
+                    let g = power_law_parts(n, avg_deg, seed, parts, shift);
+                    let at = format!("n = {n}, {parts} parts, shift {shift}");
+                    assert_eq!(g.xadj, one.xadj, "{at}");
+                    assert_eq!(g.adj, one.adj, "{at}");
+                    assert_eq!(g.adj.capacity(), g.adj.len(), "{at}");
+                }
             }
         }
+    }
+
+    /// Shapes at the edges of buckets match the reference at 1–5 parts:
+    /// one row below, at and one above a bucket boundary, a partial last
+    /// bucket, and fewer rows than one bucket.
+    #[test]
+    fn bucket_edges_match_the_reference() {
+        let rows = 1 << BUCKET_SHIFT;
+        for n in [rows - 1, rows, rows + 1, 3 * rows + rows / 3, rows / 2] {
+            let want = reference(n, 3, 7);
+            for parts in 1..=5 {
+                let g = power_law_parts(n, 3, 7, parts, BUCKET_SHIFT);
+                assert_eq!((g.xadj, g.adj), want, "n = {n}, {parts} parts");
+            }
+        }
+    }
+
+    /// Every segment of a 7-part split starts where stepping the stream
+    /// two draws per candidate leaves it.
+    #[test]
+    fn segment_starts_match_sequential_draws() {
+        let (n, avg_deg) = (1000, 10);
+        let (_, stream) = popularity(n, 24301);
+        let mut stepped = stream.clone();
+        let mut at = 0;
+        for p in 0..7 {
+            let first = n * avg_deg * p / 7;
+            for _ in at..first {
+                stepped.next_u64();
+                stepped.next_u64();
+            }
+            at = first;
+            assert_eq!(segment_start(&stream, first), stepped, "segment {p}");
+        }
+    }
+
+    /// The paper machine's 699 050-vertex graph is the same built in one
+    /// part and in two. Slow in a debug build; CI runs it in release
+    /// mode.
+    #[test]
+    #[ignore]
+    fn paper_graph_is_the_same_in_one_and_two_parts() {
+        let (n, avg_deg, seed) = (699_050, 10, 24301);
+        let one = power_law_parts(n, avg_deg, seed, 1, BUCKET_SHIFT);
+        let two = power_law_parts(n, avg_deg, seed, 2, BUCKET_SHIFT);
+        assert!(one.xadj == two.xadj, "xadj differs");
+        assert!(one.adj == two.adj, "adj differs");
     }
 
     #[test]
