@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks of the simulator's hot components: these
 //! bound the cost of simulation itself (events/second), complementing the
-//! figure binaries that reproduce the paper's results.
+//! `figures` binary that reproduces the paper's results.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pei_core::{DispatchPolicy, LocalityMonitor, PimDirectory};

@@ -1,7 +1,7 @@
 //! Simulator-throughput benchmark: host events/sec and sim-cycles/sec
 //! over a fixed workload mix, recorded to `BENCH_sim_throughput.json`.
 //!
-//! Unlike the figure binaries this measures the *simulator*, not the
+//! Unlike the `figures` binary this measures the *simulator*, not the
 //! simulated machine: the same mix run on the same hardware gives a
 //! perf trajectory for the event kernel across PRs (see EXPERIMENTS.md
 //! §"Simulator throughput" for the methodology and JSON schema).
@@ -9,7 +9,7 @@
 //! ```text
 //! cargo run -p pei-bench --release --bin sim_throughput -- \
 //!     [--scale quick|full] [--paper] [--seed <n>] [--repeat <n>] [--label <s>] [--out <path>] \
-//!     [--append] [--traced] [--checked]
+//!     [--append] [--traced] [--check]
 //! ```
 //!
 //! Runs are strictly serial (`jobs` is fixed at 1) so wall-clock time
@@ -24,11 +24,12 @@
 //! tracing itself (EXPERIMENTS.md §"Tracing overhead"). Simulated
 //! results are identical either way — tracing observes, never steers.
 //!
-//! `--checked` enables checked mode (`pei_system::check`) on every
+//! `--check` enables checked mode (`pei_system::check`) on every
 //! measured run: the invariant auditors sweep the whole machine at the
 //! default interval, so the delta against an unchecked run measures the
 //! sanitizer's overhead (EXPERIMENTS.md §"Checked-mode overhead").
-//! Simulated results are likewise identical — sweeps observe only.
+//! Simulated results are likewise identical — sweeps observe only. The
+//! record's `checked` field says whether it was on.
 //!
 //! `--paper` selects the paper-scale machine. A bad argument prints
 //! `error: …` and the usage to stderr and exits with status 2.
@@ -36,9 +37,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use pei_bench::cli::{self, Shared};
 use pei_bench::runner::RunSpec;
 use pei_bench::tracecap::policy_name;
-use pei_bench::{check_writable, ExpOptions, Scale};
+use pei_bench::{check_writable, ExpOptions};
 use pei_core::DispatchPolicy;
 use pei_trace::NullSink;
 use pei_workloads::{InputSize, Workload};
@@ -56,64 +58,45 @@ const MIX: [(Workload, DispatchPolicy); 6] = [
 ];
 
 const USAGE: &str = "usage: sim_throughput [--scale quick|full] [--paper] [--seed N] [--repeat N] \
-                     [--label S] [--out PATH] [--append] [--traced] [--checked]";
+                     [--label S] [--out PATH] [--append] [--traced] [--check]";
 
 struct Args {
+    /// Scale, machine, seed and checked mode (`jobs` is unused: runs
+    /// are serial).
     opts: ExpOptions,
     repeat: usize,
     label: String,
     out: String,
     append: bool,
     traced: bool,
-    checked: bool,
 }
 
-fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+fn parse_args() -> Args {
     let mut a = Args {
-        opts: ExpOptions {
-            jobs: 1,
-            ..ExpOptions::default()
-        },
+        opts: ExpOptions::default(),
         repeat: 3,
         label: String::from("dev"),
         out: String::from("BENCH_sim_throughput.json"),
         append: false,
         traced: false,
-        checked: false,
     };
-    let mut argv = argv.into_iter();
-    while let Some(flag) = argv.next() {
-        let mut value = || argv.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--scale" => {
-                let v = value()?;
-                a.opts.scale =
-                    Scale::parse(&v).ok_or_else(|| format!("unknown scale `{v}` (quick|full)"))?;
+    cli::parse_env(
+        USAGE,
+        &[Shared::Scale, Shared::Paper, Shared::Seed, Shared::Check],
+        &mut a.opts,
+        |arg, args| {
+            match arg {
+                "--repeat" => a.repeat = args.count()?,
+                "--label" => a.label = args.value()?,
+                "--out" => a.out = args.value()?,
+                "--append" => a.append = true,
+                "--traced" => a.traced = true,
+                _ => return Ok(false),
             }
-            "--seed" => {
-                let v = value()?;
-                a.opts.seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed must be an integer, got `{v}`"))?;
-            }
-            "--repeat" => {
-                let v = value()?;
-                a.repeat = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--repeat must be an integer >= 1, got `{v}`"))?;
-            }
-            "--label" => a.label = value()?,
-            "--out" => a.out = value()?,
-            "--append" => a.append = true,
-            "--traced" => a.traced = true,
-            "--checked" => a.checked = true,
-            "--paper" => a.opts.paper_machine = true,
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(a)
+            Ok(true)
+        },
+    );
+    a
 }
 
 struct Measured {
@@ -134,7 +117,7 @@ fn record_json(args: &Args, runs: &[Measured]) -> String {
         args.opts.paper_machine,
         args.opts.seed,
         args.traced,
-        args.checked,
+        args.opts.check,
     );
     let (mut ev_tot, mut cy_tot, mut wall_tot) = (0u64, 0u64, 0f64);
     for (i, r) in runs.iter().enumerate() {
@@ -207,13 +190,9 @@ fn write_record(args: &Args, runs: &[Measured]) {
 }
 
 fn main() {
-    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("error: {e}\n\n{USAGE}");
-        std::process::exit(2);
-    });
+    let args = parse_args();
     if let Err(e) = check_writable(std::path::Path::new(&args.out)) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
+        cli::fail(&e);
     }
     let mut runs = Vec::new();
     print_header();
@@ -224,7 +203,7 @@ fn main() {
             w,
             InputSize::Medium,
         );
-        spec.check = args.checked;
+        spec.check = args.opts.check;
         // Best-of-N wall time: simulated results are identical across
         // repeats (determinism contract), so the minimum isolates the
         // simulator's speed from scheduler noise on a shared host.

@@ -21,10 +21,12 @@
 //! trace-metadata names. Bad arguments, unreadable traces and traces
 //! without a replayable recipe print `error: …` and exit with status 2.
 
+use pei_bench::cli::{self, fail, Shared};
 use pei_bench::tracecap::{self, CaptureSpec};
-use pei_bench::Scale;
+use pei_bench::ExpOptions;
 use pei_core::DispatchPolicy;
 use pei_trace::{perfetto, Trace};
+use pei_workloads::{InputSize, Workload};
 
 const USAGE: &str = "usage: trace_capture --workload <W> --size <S> --policy <P> \
      [--scale quick|full] [--paper] [--seed <n>] [--budget <n>] -o <out.petr> \
@@ -38,15 +40,16 @@ struct Args {
     export: Option<String>,
 }
 
-fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+fn parse_args() -> Args {
+    let mut opts = ExpOptions::default();
     let mut a = Args {
         spec: CaptureSpec {
-            workload: pei_workloads::Workload::Atf,
-            size: pei_workloads::InputSize::Medium,
+            workload: Workload::Atf,
+            size: InputSize::Medium,
             policy: DispatchPolicy::LocalityAware,
-            scale: Scale::Quick,
-            paper_machine: false,
-            seed: 0x5eed,
+            scale: opts.scale,
+            paper_machine: opts.paper_machine,
+            seed: opts.seed,
             pei_budget: None,
         },
         out: None,
@@ -54,65 +57,46 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         replay: None,
         export: None,
     };
-    let mut argv = argv.into_iter();
-    while let Some(flag) = argv.next() {
-        let mut value = || argv.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--workload" => {
-                let v = value()?;
-                a.spec.workload = tracecap::parse_workload(&v)
-                    .ok_or_else(|| format!("unknown workload `{v}` (ATF, BFS, …, SVM)"))?;
+    cli::parse_env(
+        USAGE,
+        &[Shared::Scale, Shared::Paper, Shared::Seed],
+        &mut opts,
+        |arg, args| {
+            match arg {
+                "--workload" => {
+                    let v = args.value()?;
+                    a.spec.workload = tracecap::parse_workload(&v)
+                        .ok_or_else(|| format!("unknown workload `{v}` (ATF, BFS, …, SVM)"))?;
+                }
+                "--size" => {
+                    let v = args.value()?;
+                    a.spec.size = tracecap::parse_size(&v)
+                        .ok_or_else(|| format!("unknown size `{v}` (small|medium|large)"))?;
+                }
+                "--policy" => {
+                    let v = args.value()?;
+                    a.spec.policy = tracecap::parse_policy_short(&v).ok_or_else(|| {
+                        format!("unknown policy `{v}` (host|pim|la|bd or their long names)")
+                    })?;
+                }
+                "--budget" => a.spec.pei_budget = Some(args.int()?),
+                "-o" | "--out" => a.out = Some(args.value()?),
+                "--perfetto" => a.perfetto = Some(args.value()?),
+                "--replay" => a.replay = Some(args.value()?),
+                "--export" => a.export = Some(args.value()?),
+                _ => return Ok(false),
             }
-            "--size" => {
-                let v = value()?;
-                a.spec.size = tracecap::parse_size(&v)
-                    .ok_or_else(|| format!("unknown size `{v}` (small|medium|large)"))?;
-            }
-            "--policy" => {
-                let v = value()?;
-                a.spec.policy = tracecap::parse_policy_short(&v).ok_or_else(|| {
-                    format!("unknown policy `{v}` (host|pim|la|bd or their long names)")
-                })?;
-            }
-            "--scale" => {
-                let v = value()?;
-                a.spec.scale =
-                    Scale::parse(&v).ok_or_else(|| format!("unknown scale `{v}` (quick|full)"))?;
-            }
-            "--paper" => a.spec.paper_machine = true,
-            "--seed" => {
-                let v = value()?;
-                a.spec.seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed must be an integer, got `{v}`"))?;
-            }
-            "--budget" => {
-                let v = value()?;
-                a.spec.pei_budget = Some(
-                    v.parse()
-                        .map_err(|_| format!("--budget must be an integer, got `{v}`"))?,
-                );
-            }
-            "-o" | "--out" => a.out = Some(value()?),
-            "--perfetto" => a.perfetto = Some(value()?),
-            "--replay" => a.replay = Some(value()?),
-            "--export" => a.export = Some(value()?),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
+            Ok(true)
+        },
+    );
+    (a.spec.scale, a.spec.paper_machine, a.spec.seed) = (opts.scale, opts.paper_machine, opts.seed);
     if a.export.is_some() && a.perfetto.is_none() {
-        return Err("--export needs --perfetto <out.json>".into());
+        fail(&format!("--export needs --perfetto <out.json>\n\n{USAGE}"));
     }
     if a.replay.is_none() && a.export.is_none() && a.out.is_none() {
-        return Err("capture mode needs -o <out.petr>".into());
+        fail(&format!("capture mode needs -o <out.petr>\n\n{USAGE}"));
     }
-    Ok(a)
-}
-
-/// Prints `error: {msg}` and exits with status 2.
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
+    a
 }
 
 fn load(path: &str) -> Trace {
@@ -125,8 +109,7 @@ fn write(path: &str, bytes: impl AsRef<[u8]>) {
 }
 
 fn main() {
-    let args =
-        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| fail(&format!("{e}\n\n{USAGE}")));
+    let args = parse_args();
 
     if let Some(path) = &args.replay {
         let t = load(path);

@@ -14,20 +14,25 @@
 //! describe the same event stream. Usage errors and unreadable traces
 //! print `error: …` and exit 2.
 
+use pei_bench::cli::{self, fail};
+use pei_bench::ExpOptions;
 use pei_trace::Trace;
 
+const USAGE: &str = "usage: trace_diff <left.petr> <right.petr>";
+
 fn load(path: &str) -> Trace {
-    Trace::load(std::path::Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("error: cannot load trace {path}: {e}");
-        std::process::exit(2);
-    })
+    Trace::load(std::path::Path::new(path))
+        .unwrap_or_else(|e| fail(&format!("cannot load trace {path}: {e}")))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let [left, right] = args.as_slice() else {
-        eprintln!("error: expected two trace paths\n\nusage: trace_diff <left.petr> <right.petr>");
-        std::process::exit(2);
+    let mut paths = Vec::new();
+    cli::parse_env(USAGE, &[], &mut ExpOptions::default(), |arg, _| {
+        paths.push(arg.to_owned());
+        Ok(!arg.starts_with('-')) // a flag is an unknown argument
+    });
+    let [left, right] = paths.as_slice() else {
+        fail(&format!("expected two trace paths\n\n{USAGE}"));
     };
     let a = load(left);
     let b = load(right);

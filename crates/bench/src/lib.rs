@@ -1,7 +1,9 @@
-//! Experiment harness: shared machinery for the figure-reproduction
-//! binaries (`fig2` … `fig12`, `pmu_overhead`, `ablations`).
+//! Experiment harness: the machinery behind the `figures` binary,
+//! which prints the paper's figures (Figs. 2 and 6–12, §7.6, and the
+//! ablations; see [`figures`]), and the `sim_throughput`,
+//! `trace_capture` and `trace_diff` tools.
 //!
-//! Every binary accepts:
+//! Their flags are parsed once, by [`cli`]:
 //!
 //! * `--scale quick|full` — PEI budget per run (quick ≈ 40 K, full ≈
 //!   200 K; the paper's analog is its fixed 2-billion-instruction window);
@@ -12,8 +14,6 @@
 //! * `--jobs <n>` — worker threads for the experiment grid (default:
 //!   available parallelism). Tables are byte-identical for every value —
 //!   see [`runner`] and the determinism contract in EXPERIMENTS.md;
-//! * `--trace <path>` — also capture the binary's representative cell
-//!   as a `.petr` event trace (see [`tracecap`]);
 //! * `--check` — checked mode: every run sweeps the simulator's
 //!   cross-component invariant auditors (MESI, MSHR leaks, flit/credit
 //!   conservation, operand accounting, event population; see
@@ -22,25 +22,28 @@
 //!   running.
 //!
 //! A bad argument prints `error: …` and the usage to stderr and exits
-//! with status 2 ([`ExpOptions::from_args`]).
+//! with status 2. One cell is captured as a `.petr` event trace with
+//! `trace_capture` (see [`tracecap`]).
 //!
-//! Binaries describe their grid as [`runner::RunSpec`]s collected into a
-//! [`runner::Batch`], run it once, and print from the ordered results.
-//! Results print as aligned text tables whose rows mirror the series of
-//! the corresponding paper figure; EXPERIMENTS.md records a measured run
-//! against the paper's claims.
+//! Figures describe their grid as [`runner::RunSpec`]s collected into
+//! one [`runner::Batch`], run it once, and print from the ordered
+//! results. Results print as aligned text tables whose rows mirror the
+//! series of the corresponding paper figure; EXPERIMENTS.md records a
+//! measured run against the paper's claims.
 //!
 //! This crate's place in the workspace is mapped in DESIGN.md §5.
 
 #![warn(missing_docs)]
 
+pub mod cli;
+pub mod figures;
 pub mod runner;
 pub mod service;
 pub mod tracecap;
 
 use pei_core::DispatchPolicy;
 use pei_system::MachineConfig;
-use pei_workloads::{InputSize, Workload, WorkloadParams};
+use pei_workloads::WorkloadParams;
 
 /// Simulation effort per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +73,7 @@ impl Scale {
     }
 }
 
-/// Parsed command-line options shared by all figure binaries.
+/// The options the bench binaries share (see [`cli`]).
 #[derive(Debug, Clone)]
 pub struct ExpOptions {
     /// Simulation effort.
@@ -82,9 +85,6 @@ pub struct ExpOptions {
     /// Worker threads for the experiment grid (`>= 1`). Affects
     /// wall-clock time only, never results.
     pub jobs: usize,
-    /// If set, also capture the binary's representative cell as an
-    /// event trace (`.petr`, see [`tracecap`]) at this path.
-    pub trace: Option<std::path::PathBuf>,
     /// Checked mode: every run sweeps the cross-component invariant
     /// auditors (`pei_system::check`) and failed cells surface
     /// structured reports instead of panicking. Results are
@@ -94,14 +94,13 @@ pub struct ExpOptions {
 
 impl Default for ExpOptions {
     /// Quick scale, scaled machine, the default seed, one worker per
-    /// available hardware thread, and no trace capture.
+    /// available hardware thread, and checked mode off.
     fn default() -> Self {
         ExpOptions {
             scale: Scale::Quick,
             paper_machine: false,
             seed: 0x5eed,
             jobs: default_jobs(),
-            trace: None,
             check: false,
         }
     }
@@ -114,67 +113,7 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Usage line of the flags [`ExpOptions::parse`] accepts.
-const USAGE: &str = "usage: <figure binary> [--scale quick|full] [--paper] [--seed N] \
-                         [--jobs N] [--trace PATH] [--check]";
-
 impl ExpOptions {
-    /// Parses `std::env::args()`; on a bad argument prints `error: …`
-    /// and the usage line to stderr and exits with status 2. A
-    /// `--trace` path that cannot be written is refused the same way,
-    /// before any cell runs.
-    pub fn from_args() -> Self {
-        let opts = ExpOptions::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        });
-        if let Err(e) = opts.trace.as_deref().map_or(Ok(()), check_writable) {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-        opts
-    }
-
-    /// Parses figure-binary arguments (without the program name).
-    ///
-    /// # Errors
-    ///
-    /// Names the offending argument: an unknown flag, a missing value,
-    /// or a value that does not parse.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<ExpOptions, String> {
-        let mut opts = ExpOptions::default();
-        let mut args = args.into_iter();
-        while let Some(a) = args.next() {
-            let mut value = || args.next().ok_or_else(|| format!("{a} needs a value"));
-            match a.as_str() {
-                "--scale" => {
-                    let v = value()?;
-                    opts.scale = Scale::parse(&v)
-                        .ok_or_else(|| format!("unknown scale `{v}` (quick|full)"))?;
-                }
-                "--paper" => opts.paper_machine = true,
-                "--seed" => {
-                    let v = value()?;
-                    opts.seed = v
-                        .parse()
-                        .map_err(|_| format!("--seed must be an integer, got `{v}`"))?;
-                }
-                "--jobs" => {
-                    let v = value()?;
-                    opts.jobs = v
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("--jobs must be an integer >= 1, got `{v}`"))?;
-                }
-                "--trace" => opts.trace = Some(value()?.into()),
-                "--check" => opts.check = true,
-                other => return Err(format!("unknown argument `{other}`")),
-            }
-        }
-        Ok(opts)
-    }
-
     /// The Ideal-Host reference machine (§7) at the chosen scale.
     pub fn ideal_machine(&self) -> MachineConfig {
         self.machine(DispatchPolicy::HostOnly).ideal_host()
@@ -229,40 +168,6 @@ pub fn check_writable(path: &std::path::Path) -> Result<(), String> {
 
 /// Upper bound on simulated cycles before declaring a run stuck.
 pub const CYCLE_LIMIT: u64 = 50_000_000_000;
-
-/// If `--trace <path>` was given, captures the binary's representative
-/// cell — `workload` at `size` under `policy`, at the options' scale and
-/// seed — as a replayable `.petr` event trace at that path (see
-/// [`tracecap`]). Call once, after printing the figure, with the cell
-/// that best characterizes the figure's behavior. No-op without
-/// `--trace`.
-pub fn write_trace_if_requested(
-    opts: &ExpOptions,
-    workload: Workload,
-    size: InputSize,
-    policy: DispatchPolicy,
-) {
-    let Some(path) = &opts.trace else { return };
-    let spec = tracecap::CaptureSpec {
-        workload,
-        size,
-        policy,
-        scale: opts.scale,
-        paper_machine: opts.paper_machine,
-        seed: opts.seed,
-        pei_budget: None,
-    };
-    let (_, trace) = spec.capture();
-    std::fs::write(path, trace.to_bytes())
-        .unwrap_or_else(|e| panic!("cannot write trace {}: {e}", path.display()));
-    eprintln!(
-        "captured {} records ({} dropped) from {} to {}",
-        trace.records.len(),
-        trace.dropped,
-        spec,
-        path.display()
-    );
-}
 
 /// Geometric mean.
 ///

@@ -18,10 +18,16 @@
 //!   callers print only after [`Batch::run`] returns — output tables are
 //!   byte-identical for any `--jobs` value (the determinism contract,
 //!   EXPERIMENTS.md).
+//! * **One slot per distinct cell.** [`Batch::push`] hands an equal
+//!   spec the slot it already has, so figures that read the same cell
+//!   run it once.
 //!
 //! Workload inputs come from the process-wide cache in
 //! [`pei_workloads::cache`], so the four configurations of one cell
 //! share one generated graph no matter which workers execute them.
+//! [`run_specs`] drops each graph from the cache when the last cell
+//! that reads it finishes, so a batch holds only the graphs it still
+//! needs.
 //!
 //! # Examples
 //!
@@ -52,12 +58,16 @@
 
 use crate::{ExpOptions, CYCLE_LIMIT};
 use pei_system::{CheckConfig, FaultPlan, MachineConfig, RunResult, System};
-use pei_workloads::{cache, InputSize, Workload, WorkloadParams};
+use pei_workloads::cache::{self, GraphKey};
+use pei_workloads::workload::graph_shape;
+use pei_workloads::{InputSize, Workload, WorkloadParams};
+use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The input of one simulation cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SpecInput {
     /// A workload at one of the paper's three input sizes (§7.1).
     Sized {
@@ -96,8 +106,9 @@ pub enum SpecInput {
 /// The per-spec seed lives in `params.seed` (and, for graph series, in
 /// the explicit `graph_seed`); specs never draw randomness while
 /// running, so a batch's results depend only on its specs — not on
-/// `--jobs`, scheduling, or which worker picks up which cell.
-#[derive(Debug, Clone)]
+/// `--jobs`, scheduling, or which worker picks up which cell. Equal
+/// specs are the same cell.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// The machine to simulate (policy, scale, and any sweep overrides
     /// are all baked into the config — it is `Copy`, so sweeps mutate a
@@ -255,6 +266,32 @@ impl RunSpec {
         (result, sink)
     }
 
+    /// The cache keys of the graphs this cell reads: none for inputs
+    /// that are not graphs, two for a mix of two graph workloads.
+    fn graph_keys(&self) -> Vec<GraphKey> {
+        let sized = |(workload, size): (Workload, InputSize), params: &WorkloadParams| {
+            Workload::GRAPH.contains(&workload).then(|| {
+                let (n, avg_deg) = graph_shape(size.footprint(params.l3_bytes));
+                (n, avg_deg, params.seed)
+            })
+        };
+        match &self.input {
+            SpecInput::Sized { workload, size } => sized((*workload, *size), &self.params)
+                .into_iter()
+                .collect(),
+            SpecInput::OnGraph {
+                vertices,
+                avg_deg,
+                graph_seed,
+                ..
+            } => vec![(*vertices, *avg_deg, *graph_seed)],
+            SpecInput::Mix { a, b, params_b } => [sized(*a, &self.params), sized(*b, params_b)]
+                .into_iter()
+                .flatten()
+                .collect(),
+        }
+    }
+
     /// One-line description for failure summaries.
     fn describe(&self) -> String {
         let input = match &self.input {
@@ -288,13 +325,18 @@ impl Batch {
         Batch::default()
     }
 
-    /// Queues a spec, returning the index of its result slot.
+    /// Queues a spec, returning the index of its result slot. A spec
+    /// equal to one already queued gets that spec's slot: the cell runs
+    /// once, however many times it is pushed.
     pub fn push(&mut self, spec: RunSpec) -> usize {
+        if let Some(slot) = self.specs.iter().position(|s| *s == spec) {
+            return slot;
+        }
         self.specs.push(spec);
         self.specs.len() - 1
     }
 
-    /// Number of queued specs.
+    /// Number of distinct queued specs (result slots).
     pub fn len(&self) -> usize {
         self.specs.len()
     }
@@ -314,14 +356,21 @@ impl Batch {
     /// Like [`run`](Batch::run), but driven by the shared command-line
     /// options: `--jobs` picks the worker count and `--check` turns on
     /// checked mode for every cell. The one-line change that gives a
-    /// figure binary the full sanitizer surface.
-    pub fn run_with(mut self, opts: &ExpOptions) -> Vec<RunResult> {
+    /// figure the full sanitizer surface.
+    pub fn run_with(self, opts: &ExpOptions) -> Vec<RunResult> {
+        self.run_for(opts, &[])
+    }
+
+    /// [`run_with`](Batch::run_with) for a batch that several figures
+    /// share: `users[slot]` names the figures that read each slot, and
+    /// a failed cell's one warning names them all.
+    pub(crate) fn run_for(mut self, opts: &ExpOptions, users: &[Vec<&str>]) -> Vec<RunResult> {
         if opts.check {
             for spec in &mut self.specs {
                 spec.check = true;
             }
         }
-        run_specs(&self.specs, opts.jobs)
+        run_named(&self.specs, opts.jobs, users)
     }
 }
 
@@ -336,14 +385,41 @@ impl Batch {
 /// of every failed cell (spec description plus its
 /// [`pei_system::FailureReport`]) goes to stderr before this returns.
 ///
+/// Each graph the specs read leaves the input cache when the last cell
+/// that reads it finishes (cells still running keep their own handle
+/// on it), whether this batch or an earlier caller put it there.
+///
 /// # Panics
 ///
 /// Panics if `jobs == 0`, or propagates the panic of any failed cell.
 pub fn run_specs(specs: &[RunSpec], jobs: usize) -> Vec<RunResult> {
+    run_named(specs, jobs, &[])
+}
+
+/// [`run_specs`], whose failure warnings also name `users[slot]`.
+fn run_named(specs: &[RunSpec], jobs: usize, users: &[Vec<&str>]) -> Vec<RunResult> {
     assert!(jobs > 0, "--jobs must be at least 1");
+    let keys: Vec<Vec<GraphKey>> = specs.iter().map(RunSpec::graph_keys).collect();
+    let mut readers: HashMap<GraphKey, usize> = HashMap::new();
+    for &key in keys.iter().flatten() {
+        *readers.entry(key).or_default() += 1;
+    }
+    let readers = Mutex::new(readers);
+    let run = |(i, spec): (usize, &RunSpec)| {
+        let result = spec.run();
+        let mut readers = readers.lock().expect("no reader count holder panics");
+        for key in &keys[i] {
+            let left = readers.get_mut(key).expect("every key was counted");
+            *left -= 1;
+            if *left == 0 {
+                cache::release(*key);
+            }
+        }
+        result
+    };
     let workers = jobs.min(specs.len());
     let results: Vec<RunResult> = if workers <= 1 {
-        specs.iter().map(RunSpec::run).collect()
+        specs.iter().enumerate().map(run).collect()
     } else {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<RunResult>>> = specs.iter().map(|_| Mutex::new(None)).collect();
@@ -352,7 +428,7 @@ pub fn run_specs(specs: &[RunSpec], jobs: usize) -> Vec<RunResult> {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = specs.get(i) else { break };
-                    let result = spec.run();
+                    let result = run((i, spec));
                     *slots[i].lock().unwrap() = Some(result);
                 });
             }
@@ -366,32 +442,42 @@ pub fn run_specs(specs: &[RunSpec], jobs: usize) -> Vec<RunResult> {
             })
             .collect()
     };
-    report_failures(specs, &results);
+    for warning in failure_warnings(specs, &results, users) {
+        eprint!("{warning}");
+    }
     results
 }
 
-/// Prints each failed cell's spec and failure report to stderr; silent
+/// The stderr report of each failed cell: its spec, the figures that
+/// read it (`users[slot]`, where given) and its failure report. Empty
 /// when every cell completed.
-fn report_failures(specs: &[RunSpec], results: &[RunResult]) {
-    for (spec, result) in specs.iter().zip(results) {
+pub(crate) fn failure_warnings(
+    specs: &[RunSpec],
+    results: &[RunResult],
+    users: &[Vec<&str>],
+) -> Vec<String> {
+    let mut warnings = Vec::new();
+    for (slot, (spec, result)) in specs.iter().zip(results).enumerate() {
         let Some(report) = result.outcome.report() else {
             continue;
         };
-        eprintln!(
-            "warning: cell failed: {}: {}",
-            spec.describe(),
-            report.summary()
-        );
+        let mut w = format!("warning: cell failed: {}", spec.describe());
+        if let Some(users) = users.get(slot).filter(|u| !u.is_empty()) {
+            let _ = write!(w, " (used by {})", users.join(", "));
+        }
+        let _ = writeln!(w, ": {}", report.summary());
         for v in &report.violations {
-            eprintln!("  {v}");
+            let _ = writeln!(w, "  {v}");
         }
         if !report.diagnosis.is_empty() {
-            eprintln!("  diagnosis: {}", report.diagnosis.trim_end());
+            let _ = writeln!(w, "  diagnosis: {}", report.diagnosis.trim_end());
         }
         for (name, n) in &report.occupancies {
-            eprintln!("  {name} = {n}");
+            let _ = writeln!(w, "  {name} = {n}");
         }
+        warnings.push(w);
     }
+    warnings
 }
 
 #[cfg(test)]
@@ -400,9 +486,15 @@ mod tests {
     use crate::ExpOptions;
     use pei_core::DispatchPolicy;
 
+    /// Input seed of these tests' grids. The batches they run release
+    /// their graphs from the process-wide cache, so the seed is one no
+    /// other test in this crate reads (the daemon-path tests in
+    /// `service` check that their seed-7 graph stays cached).
+    const SEED: u64 = 0x7e57;
+
     fn tiny_specs() -> Vec<RunSpec> {
         let opts = ExpOptions {
-            seed: 7,
+            seed: SEED,
             ..ExpOptions::default()
         };
         let mut params = opts.workload_params();
@@ -447,7 +539,7 @@ mod tests {
     /// differ only in dispatch policy, two per PMU monitor class.
     fn policy_grid() -> Vec<RunSpec> {
         let opts = ExpOptions {
-            seed: 7,
+            seed: SEED,
             ..ExpOptions::default()
         };
         let mut params = opts.workload_params();
@@ -473,7 +565,7 @@ mod tests {
 
     #[test]
     fn run_with_is_job_count_invariant_cell_for_cell() {
-        // The figure binaries' entry point: every cell runs cold, one
+        // The figures' entry point: every cell runs cold, one
         // claim at a time, so the worker count can't change a result.
         let run = |jobs: usize| {
             let mut batch = Batch::new();
@@ -500,5 +592,73 @@ mod tests {
     #[should_panic(expected = "--jobs must be at least 1")]
     fn zero_jobs_rejected() {
         run_specs(&[], 0);
+    }
+
+    /// A batch whose cells share graphs builds each graph once and
+    /// leaves none of them cached: a sized graph workload's graph, read
+    /// again by a mix's first half, and an explicit graph, each under
+    /// three policies. The seeds are read by no other test.
+    #[test]
+    fn shared_graphs_are_built_once_and_released() {
+        let opts = ExpOptions {
+            seed: 0x6a1a,
+            ..ExpOptions::default()
+        };
+        let mut params = opts.workload_params();
+        params.pei_budget = 1_000;
+        let half = WorkloadParams {
+            threads: params.threads / 2,
+            ..params
+        };
+        let params_b = WorkloadParams {
+            seed: 0x6a1b,
+            heap_base: 0x40_0000_0000,
+            ..half
+        };
+        let small = InputSize::Small;
+        let mut batch = Batch::new();
+        let mut first = None;
+        for policy in [
+            DispatchPolicy::HostOnly,
+            DispatchPolicy::PimOnly,
+            DispatchPolicy::LocalityAware,
+        ] {
+            let cfg = opts.machine(policy);
+            let slot = batch.push(RunSpec::sized(cfg, params, Workload::Bfs, small));
+            first.get_or_insert(slot);
+            batch.push(RunSpec::on_graph(
+                cfg,
+                params,
+                Workload::Pr,
+                3_000,
+                10,
+                0x6a1c,
+            ));
+            let (a, b) = ((Workload::Wcc, small), (Workload::Hj, small));
+            batch.push(RunSpec::mix(cfg, half, params_b, a, b));
+        }
+        // Pushing a cell again hands back its slot.
+        let again = RunSpec::sized(
+            opts.machine(DispatchPolicy::HostOnly),
+            params,
+            Workload::Bfs,
+            small,
+        );
+        assert_eq!(Some(batch.push(again)), first);
+        assert_eq!(batch.len(), 9);
+        let mut keys: Vec<GraphKey> = batch.specs.iter().flat_map(RunSpec::graph_keys).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let (n, avg_deg) = graph_shape(small.footprint(params.l3_bytes));
+        assert_eq!(keys, vec![(3_000, 10, 0x6a1c), (n, avg_deg, 0x6a1a)]);
+
+        let results = batch.run(2);
+        assert!(results.iter().all(RunResult::ok));
+        for &key in &keys {
+            assert_eq!(cache::builds(key), 1, "{key:?} built once");
+            // Released: the next lookup builds it again.
+            cache::shared_power_law(key.0, key.1, key.2);
+            assert_eq!(cache::builds(key), 2, "{key:?} left the cache");
+        }
     }
 }

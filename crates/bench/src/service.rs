@@ -3,9 +3,9 @@
 //! * [`resolve_recipe`] turns a wire-format [`Recipe`] (string-typed
 //!   workload/policy/size names) into a validated [`RunSpec`], reusing
 //!   the `tracecap` vocabulary so daemon submissions, `.petr` captures,
-//!   and figure binaries all speak the same names. Unknown names come
-//!   back as descriptive errors for a structured `error` frame, never a
-//!   panic.
+//!   and the command-line tools all speak the same names. Unknown names
+//!   come back as descriptive errors for a structured `error` frame,
+//!   never a panic.
 //! * [`run_bounded`] runs one job cold, sliced so that a cancel flag and
 //!   a wall-clock deadline can stop it between slices. A job that
 //!   completes is byte-identical to [`RunSpec::run`] — the daemon's
@@ -14,7 +14,7 @@
 
 use crate::runner::RunSpec;
 use crate::tracecap::{parse_policy_short, parse_size, parse_workload, CaptureSpec};
-use crate::{ExpOptions, Scale};
+use crate::Scale;
 use pei_system::{FaultKind, FaultPlan, RunResult};
 use pei_trace::TraceSink;
 use pei_types::wire::Recipe;
@@ -63,7 +63,9 @@ pub fn parse_fault_kind(s: &str) -> Option<FaultKind> {
     .find(|&k| fault_kind_name(k) == s)
 }
 
-/// Validates a wire recipe into a runnable [`RunSpec`].
+/// Validates a wire recipe into a runnable [`RunSpec`]: the cell of
+/// its [`CaptureSpec`] (the step [`resolve_capture`] shares), with the
+/// recipe's checked mode and fault plan armed.
 ///
 /// The vocabulary is the `tracecap` one: workloads by figure label
 /// (case-insensitive), sizes `small|medium|large`, policies by the
@@ -72,18 +74,7 @@ pub fn parse_fault_kind(s: &str) -> Option<FaultKind> {
 /// the offending field and the accepted values — they become the
 /// daemon's `bad-recipe` error frames.
 pub fn resolve_recipe(recipe: &Recipe) -> Result<RunSpec, String> {
-    let (workload, size, policy, scale) = resolve_vocabulary(recipe)?;
-    let opts = ExpOptions {
-        scale,
-        paper_machine: recipe.paper,
-        seed: recipe.seed,
-        ..ExpOptions::default()
-    };
-    let mut params = opts.workload_params();
-    if let Some(b) = recipe.budget {
-        params.pei_budget = b;
-    }
-    let mut spec = RunSpec::sized(opts.machine(policy), params, workload, size);
+    let mut spec = capture_spec(recipe)?.to_run_spec();
     spec.check = recipe.check;
     if !recipe.fault_kinds.is_empty() {
         let mut plan = FaultPlan::new(recipe.fault_seed.unwrap_or(recipe.seed));
@@ -113,31 +104,13 @@ pub fn resolve_capture(recipe: &Recipe) -> Result<CaptureSpec, String> {
                 .to_owned(),
         );
     }
-    let (workload, size, policy, scale) = resolve_vocabulary(recipe)?;
-    Ok(CaptureSpec {
-        workload,
-        size,
-        policy,
-        scale,
-        paper_machine: recipe.paper,
-        seed: recipe.seed,
-        pei_budget: recipe.budget,
-    })
+    capture_spec(recipe)
 }
 
-/// The string→enum step shared by [`resolve_recipe`] and
-/// [`resolve_capture`].
-fn resolve_vocabulary(
-    recipe: &Recipe,
-) -> Result<
-    (
-        pei_workloads::Workload,
-        pei_workloads::InputSize,
-        pei_core::DispatchPolicy,
-        Scale,
-    ),
-    String,
-> {
+/// The recipe → [`CaptureSpec`] step shared by [`resolve_recipe`] and
+/// [`resolve_capture`]: the names resolved, checked mode and faults
+/// left out.
+fn capture_spec(recipe: &Recipe) -> Result<CaptureSpec, String> {
     let workload = parse_workload(&recipe.workload).ok_or_else(|| {
         format!(
             "unknown workload `{}` (atf|bfs|pr|sp|wcc|hj|hg|rp|sc|svm)",
@@ -154,7 +127,15 @@ fn resolve_vocabulary(
     })?;
     let scale = Scale::parse(&recipe.scale)
         .ok_or_else(|| format!("unknown scale `{}` (quick|full)", recipe.scale))?;
-    Ok((workload, size, policy, scale))
+    Ok(CaptureSpec {
+        workload,
+        size,
+        policy,
+        scale,
+        paper_machine: recipe.paper,
+        seed: recipe.seed,
+        pei_budget: recipe.budget,
+    })
 }
 
 /// Runs `spec` to completion unless `cancel` is set or `deadline`

@@ -1,8 +1,10 @@
-//! Bad command lines are errors, not panics: every harness binary that
-//! parses its own flags prints `error: …` on stderr and exits with
-//! status 2. That includes `--shards`, which selected the sharded
-//! engine before it was removed, and output paths that cannot be
-//! written, which are refused before any cell runs.
+//! Bad command lines are errors, not panics: every harness binary
+//! parses its flags through `pei_bench::cli`, which prints `error: …`
+//! on stderr and exits with status 2. That includes flags that were
+//! removed — `--shards` (the sharded engine), `figures --trace` (use
+//! `trace_capture`) and `sim_throughput --checked` (now `--check`) —
+//! and output paths that cannot be written, which are refused before
+//! any cell runs.
 
 use std::process::Command;
 
@@ -12,56 +14,37 @@ fn cases() -> Vec<(&'static str, Vec<String>)> {
     let missing = missing.to_string_lossy().into_owned();
     let no_dir = std::env::temp_dir().join("pei-cli-errors-no-such-dir");
     let unwritable = |file: &str| no_dir.join(file).to_string_lossy().into_owned();
-    let mut cases = vec![
-        (env!("CARGO_BIN_EXE_fig6"), vec!["--bogus".to_owned()]),
+    let args = |s: &str| s.split_whitespace().map(str::to_owned).collect::<Vec<_>>();
+    let figures = env!("CARGO_BIN_EXE_figures");
+    let sim_throughput = env!("CARGO_BIN_EXE_sim_throughput");
+    let trace_capture = env!("CARGO_BIN_EXE_trace_capture");
+    vec![
+        (figures, args("fig6 --bogus")),
+        (figures, args("fig6 --jobs x")),
+        (figures, args("fig6 --seed")),
+        (figures, args("fig5")),
+        (figures, args("")),
+        (figures, args("--scale quick")),
         (
-            env!("CARGO_BIN_EXE_fig6"),
-            vec!["--jobs".into(), "x".into()],
+            figures,
+            vec!["fig10".into(), "--trace".into(), unwritable("x.petr")],
         ),
-        (env!("CARGO_BIN_EXE_fig6"), vec!["--seed".to_owned()]),
-        (env!("CARGO_BIN_EXE_sim_throughput"), vec!["--bogus".into()]),
-        (
-            env!("CARGO_BIN_EXE_trace_capture"),
-            vec!["--policy".into(), "lab".into()],
-        ),
-        (
-            env!("CARGO_BIN_EXE_trace_capture"),
-            vec!["--policy".into(), "warp".into()],
-        ),
-        (
-            env!("CARGO_BIN_EXE_trace_capture"),
-            vec!["--replay".into(), missing.clone()],
-        ),
+        (figures, args("fig6 --shards 2")),
+        (sim_throughput, args("--bogus")),
+        (sim_throughput, args("--checked")),
+        (sim_throughput, args("--jobs 2")),
+        (sim_throughput, args("--shards 2")),
+        (sim_throughput, vec!["--out".into(), unwritable("x.json")]),
+        (trace_capture, args("--policy lab")),
+        (trace_capture, args("--policy warp")),
+        (trace_capture, args("--shards 2")),
+        (trace_capture, vec!["--replay".into(), missing.clone()]),
         (
             env!("CARGO_BIN_EXE_trace_diff"),
             vec![missing.clone(), missing],
         ),
-        (
-            env!("CARGO_BIN_EXE_fig10"),
-            vec!["--trace".into(), unwritable("x.petr")],
-        ),
-        (
-            env!("CARGO_BIN_EXE_sim_throughput"),
-            vec!["--out".into(), unwritable("x.json")],
-        ),
-    ];
-    for bin in [
-        env!("CARGO_BIN_EXE_fig2"),
-        env!("CARGO_BIN_EXE_fig6"),
-        env!("CARGO_BIN_EXE_fig7"),
-        env!("CARGO_BIN_EXE_fig8"),
-        env!("CARGO_BIN_EXE_fig9"),
-        env!("CARGO_BIN_EXE_fig10"),
-        env!("CARGO_BIN_EXE_fig11"),
-        env!("CARGO_BIN_EXE_fig12"),
-        env!("CARGO_BIN_EXE_pmu_overhead"),
-        env!("CARGO_BIN_EXE_ablations"),
-        env!("CARGO_BIN_EXE_sim_throughput"),
-        env!("CARGO_BIN_EXE_trace_capture"),
-    ] {
-        cases.push((bin, vec!["--shards".into(), "2".into()]));
-    }
-    cases
+        (env!("CARGO_BIN_EXE_trace_diff"), args("a.petr")),
+    ]
 }
 
 #[test]

@@ -22,6 +22,11 @@
 //! byte-identical to serial ones (EXPERIMENTS.md, "Determinism
 //! contract").
 //!
+//! Entries stay until [`release`]d or [`clear`]ed. A batch of figure
+//! cells releases each of its graphs when the last cell that reads it
+//! finishes (`pei_bench::runner::run_specs`); a long-lived host such as
+//! the `pei-serve` daemon keeps them resident across jobs.
+//!
 //! Non-graph inputs (hash-join relations, point sets, ...) are generated
 //! inline by their workload constructors in a single linear pass; they
 //! are cheap relative to graph construction and stay uncached.
@@ -40,8 +45,9 @@ use crate::graph::Graph;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Generation parameters that fully determine a power-law graph.
-type GraphKey = (usize, usize, u64);
+/// Generation parameters that fully determine a power-law graph:
+/// `(n, avg_deg, seed)`.
+pub type GraphKey = (usize, usize, u64);
 
 /// One key's graph, set once by the caller that builds it.
 type Slot = Arc<OnceLock<Arc<Graph>>>;
@@ -49,6 +55,12 @@ type Slot = Arc<OnceLock<Arc<Graph>>>;
 fn graph_cache() -> &'static Mutex<HashMap<GraphKey, Slot>> {
     static CACHE: OnceLock<Mutex<HashMap<GraphKey, Slot>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// How many times each key has been generated in this process.
+fn build_counts() -> &'static Mutex<HashMap<GraphKey, usize>> {
+    static COUNTS: OnceLock<Mutex<HashMap<GraphKey, usize>>> = OnceLock::new();
+    COUNTS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// Returns the power-law graph for `(n, avg_deg, seed)`, generating it
@@ -69,16 +81,41 @@ pub fn shared_power_law(n: usize, avg_deg: usize, seed: u64) -> Arc<Graph> {
             .or_default(),
     );
     Arc::clone(slot.get_or_init(|| {
-        #[cfg(test)]
-        tests::BUILDS.lock().unwrap().push(key);
+        *build_counts()
+            .lock()
+            .expect("no build-count holder panics")
+            .entry(key)
+            .or_default() += 1;
         Arc::new(Graph::power_law(n, avg_deg, seed))
     }))
+}
+
+/// Drops the cached graph of `key`, if any. Holders of its [`Arc`]
+/// keep it alive; the next lookup of the key builds it again. Only peak
+/// memory, never results, is affected.
+pub fn release(key: GraphKey) {
+    graph_cache()
+        .lock()
+        .expect("no graph-cache holder panics")
+        .remove(&key);
 }
 
 /// Drops every cached input, releasing the memory. Entries regenerate
 /// on demand; only peak memory, never results, is affected.
 pub fn clear() {
     graph_cache().lock().unwrap().clear();
+}
+
+/// How many times [`shared_power_law`] has generated `key` in this
+/// process: 1 while its first graph is cached, more once a released
+/// or cleared key was asked for again.
+pub fn builds(key: GraphKey) -> usize {
+    build_counts()
+        .lock()
+        .expect("no build-count holder panics")
+        .get(&key)
+        .copied()
+        .unwrap_or(0)
 }
 
 /// Number of distinct inputs currently interned (or being built).
@@ -130,9 +167,6 @@ mod tests {
         }
     }
 
-    /// Keys built by `shared_power_law`, one entry per build.
-    pub(super) static BUILDS: Mutex<Vec<GraphKey>> = Mutex::new(Vec::new());
-
     /// Eight threads released at once onto a new key build it once and
     /// all get the one result. The key is used by no other test: tests
     /// share the process-wide cache.
@@ -152,7 +186,20 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert!(graphs.iter().all(|g| Arc::ptr_eq(g, &graphs[0])));
-        let builds = BUILDS.lock().unwrap().iter().filter(|&&k| k == KEY).count();
-        assert_eq!(builds, 1);
+        assert_eq!(builds(KEY), 1);
+    }
+
+    /// A released key is built again on its next lookup, while an
+    /// `Arc` taken before the release stays valid. The key is used by
+    /// no other test.
+    #[test]
+    fn released_key_is_built_again() {
+        const KEY: GraphKey = (300, 4, 0x7e1e);
+        let before = shared_power_law(KEY.0, KEY.1, KEY.2);
+        release(KEY);
+        let after = shared_power_law(KEY.0, KEY.1, KEY.2);
+        assert!(!Arc::ptr_eq(&before, &after));
+        assert_eq!(before.adj, after.adj);
+        assert_eq!(builds(KEY), 2);
     }
 }

@@ -158,14 +158,20 @@ impl std::fmt::Display for Workload {
     }
 }
 
-/// Builds a power-law graph whose PEI-visible footprint (~48 B per vertex
-/// across fields + CSR) lands near `footprint` bytes. The graph comes
-/// from the process-wide [`crate::cache`], so repeated builds of the
-/// same `(footprint, seed)` — e.g. the four machine configurations of
-/// one figure cell — share a single allocation.
+/// The `(n, avg_deg)` of the power-law graph behind a graph input of
+/// `footprint` bytes: its PEI-visible data (~48 B per vertex across
+/// fields + CSR) lands near the footprint.
+pub fn graph_shape(footprint: usize) -> (usize, usize) {
+    ((footprint / 48).max(64), 10)
+}
+
+/// Builds the power-law graph of [`graph_shape`]`(footprint)`. The
+/// graph comes from the process-wide [`crate::cache`], so repeated
+/// builds of the same `(footprint, seed)` — e.g. the four machine
+/// configurations of one figure cell — share a single allocation.
 pub fn graph_for(footprint: usize, seed: u64) -> Arc<Graph> {
-    let n = (footprint / 48).max(64);
-    crate::cache::shared_power_law(n, 10, seed)
+    let (n, avg_deg) = graph_shape(footprint);
+    crate::cache::shared_power_law(n, avg_deg, seed)
 }
 
 #[cfg(test)]
