@@ -17,16 +17,17 @@
 //! trace_capture --export in.petr --perfetto out.json
 //! ```
 //!
-//! `--policy` takes the short names `host|pim|la|bd` or the long
-//! trace-metadata names. Bad arguments, unreadable traces and traces
-//! without a replayable recipe print `error: …` and exit with status 2.
+//! The recipe flags are read by `CaptureSpec::read_flag`, as in
+//! `pei-sim`: `-w/--workload`, `-s/--size`, `-p/--policy` (the short
+//! names `host|pim|la|bd` or the long trace-metadata names), values
+//! case-insensitive, and `--budget`. Bad arguments, unreadable traces
+//! and traces without a replayable recipe print `error: …` and exit
+//! with status 2.
 
 use pei_bench::cli::{self, fail, Shared};
 use pei_bench::tracecap::{self, CaptureSpec};
 use pei_bench::ExpOptions;
-use pei_core::DispatchPolicy;
 use pei_trace::{perfetto, Trace};
-use pei_workloads::{InputSize, Workload};
 
 const USAGE: &str = "usage: trace_capture --workload <W> --size <S> --policy <P> \
      [--scale quick|full] [--paper] [--seed <n>] [--budget <n>] -o <out.petr> \
@@ -43,15 +44,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut opts = ExpOptions::default();
     let mut a = Args {
-        spec: CaptureSpec {
-            workload: Workload::Atf,
-            size: InputSize::Medium,
-            policy: DispatchPolicy::LocalityAware,
-            scale: opts.scale,
-            paper_machine: opts.paper_machine,
-            seed: opts.seed,
-            pei_budget: None,
-        },
+        spec: CaptureSpec::default(),
         out: None,
         perfetto: None,
         replay: None,
@@ -63,28 +56,11 @@ fn parse_args() -> Args {
         &mut opts,
         |arg, args| {
             match arg {
-                "--workload" => {
-                    let v = args.value()?;
-                    a.spec.workload = tracecap::parse_workload(&v)
-                        .ok_or_else(|| format!("unknown workload `{v}` (ATF, BFS, …, SVM)"))?;
-                }
-                "--size" => {
-                    let v = args.value()?;
-                    a.spec.size = tracecap::parse_size(&v)
-                        .ok_or_else(|| format!("unknown size `{v}` (small|medium|large)"))?;
-                }
-                "--policy" => {
-                    let v = args.value()?;
-                    a.spec.policy = tracecap::parse_policy_short(&v).ok_or_else(|| {
-                        format!("unknown policy `{v}` (host|pim|la|bd or their long names)")
-                    })?;
-                }
-                "--budget" => a.spec.pei_budget = Some(args.int()?),
                 "-o" | "--out" => a.out = Some(args.value()?),
                 "--perfetto" => a.perfetto = Some(args.value()?),
                 "--replay" => a.replay = Some(args.value()?),
                 "--export" => a.export = Some(args.value()?),
-                _ => return Ok(false),
+                _ => return a.spec.read_flag(arg, args),
             }
             Ok(true)
         },

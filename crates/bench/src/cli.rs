@@ -55,6 +55,22 @@ impl Args {
             .map_err(|_| format!("{} must be an integer, got `{v}`", self.flag))
     }
 
+    /// The flag's value, lowercased, as `parse` reads it.
+    ///
+    /// # Errors
+    ///
+    /// The value is missing, or `parse` refuses it; the message names
+    /// the flag and the value, and lists `accepted`.
+    pub fn choice<T>(
+        &mut self,
+        accepted: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self.value()?;
+        parse(&v.to_lowercase())
+            .ok_or_else(|| format!("unknown {} value `{v}` ({accepted})", self.flag))
+    }
+
     /// The flag's value as a count of at least 1.
     ///
     /// # Errors

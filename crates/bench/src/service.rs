@@ -5,7 +5,10 @@
 //!   the `tracecap` vocabulary so daemon submissions, `.petr` captures,
 //!   and the command-line tools all speak the same names. Unknown names
 //!   come back as descriptive errors for a structured `error` frame,
-//!   never a panic.
+//!   never a panic. [`recipe`] is its inverse: the wire form of a
+//!   [`CaptureSpec`], which `pei-sim --submit` sends.
+//! * [`result_frame`] renders a completed run as the frame a `result`
+//!   carries; `pei-sim` prints its local runs from the same frame.
 //! * [`run_bounded`] runs one job cold, sliced so that a cancel flag and
 //!   a wall-clock deadline can stop it between slices. A job that
 //!   completes is byte-identical to [`RunSpec::run`] — the daemon's
@@ -13,11 +16,13 @@
 //!   capture run the same way with an event tracer attached.
 
 use crate::runner::RunSpec;
-use crate::tracecap::{parse_policy_short, parse_size, parse_workload, CaptureSpec};
+use crate::tracecap::{
+    parse_policy_short, parse_size, parse_workload, policy_name, size_name, CaptureSpec,
+};
 use crate::Scale;
 use pei_system::{FaultKind, FaultPlan, RunResult};
 use pei_trace::TraceSink;
-use pei_types::wire::Recipe;
+use pei_types::wire::{Recipe, ResultFrame};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -138,6 +143,42 @@ fn capture_spec(recipe: &Recipe) -> Result<CaptureSpec, String> {
     })
 }
 
+/// The wire recipe of `spec`: the inverse of the recipe →
+/// [`CaptureSpec`] step, so [`resolve_recipe`] of it is
+/// `spec.to_run_spec()`. Names are the canonical ones (the figure
+/// label, [`size_name`], [`policy_name`]).
+pub fn recipe(spec: &CaptureSpec) -> Recipe {
+    let mut r = Recipe::new(
+        spec.workload.label(),
+        size_name(spec.size),
+        policy_name(spec.policy),
+    );
+    r.scale = spec.scale.name().to_owned();
+    r.paper = spec.paper_machine;
+    r.seed = spec.seed;
+    r.budget = spec.pei_budget;
+    r
+}
+
+/// Renders a completed run as the frame of job `id`. The `stats`
+/// member is the full report's text rendering — the unit of the
+/// daemon's byte-identity contract.
+pub fn result_frame(id: u64, r: &RunResult, trace: Option<String>) -> ResultFrame {
+    ResultFrame {
+        job: id,
+        cycles: r.cycles,
+        instructions: r.instructions,
+        peis: r.peis,
+        pim_fraction: r.pim_fraction,
+        offchip_bytes: r.offchip_bytes,
+        offchip_flits: r.offchip_flits,
+        dram_accesses: r.dram_accesses,
+        energy_total_nj: r.energy.total(),
+        stats: r.stats.to_string(),
+        trace,
+    }
+}
+
 /// Runs `spec` to completion unless `cancel` is set or `deadline`
 /// passes first — the daemon's job runner.
 ///
@@ -234,6 +275,16 @@ mod tests {
         r = quick_recipe("la");
         r.size = "tiny".into();
         assert!(resolve_recipe(&r).unwrap_err().contains("size"));
+        // The command-line reader's size abbreviations and case folding
+        // stay out of the recipe vocabulary.
+        for size in ["m", "Medium"] {
+            r.size = size.into();
+            assert!(resolve_recipe(&r).unwrap_err().contains("size"), "{size}");
+        }
+        for policy in ["LA", "Bd"] {
+            let err = resolve_recipe(&quick_recipe(policy)).unwrap_err();
+            assert!(err.contains("policy"), "{policy}: {err}");
+        }
         r = quick_recipe("la");
         r.scale = "epic".into();
         assert!(resolve_recipe(&r).unwrap_err().contains("scale"));
@@ -284,6 +335,37 @@ mod tests {
                 resolve_recipe(&quick_recipe(name)).unwrap().cfg.policy,
                 policy
             );
+        }
+    }
+
+    #[test]
+    fn recipes_of_capture_specs_resolve_to_their_run_specs() {
+        use pei_core::DispatchPolicy;
+        use pei_workloads::{InputSize, Workload};
+        for workload in Workload::ALL {
+            for size in InputSize::ALL {
+                for policy in DispatchPolicy::ALL {
+                    for (scale, paper_machine, pei_budget) in [
+                        (Scale::Quick, false, None),
+                        (Scale::Quick, true, Some(1_234)),
+                        (Scale::Full, false, Some(1_234)),
+                        (Scale::Full, true, None),
+                    ] {
+                        let spec = CaptureSpec {
+                            workload,
+                            size,
+                            policy,
+                            scale,
+                            paper_machine,
+                            seed: 7,
+                            pei_budget,
+                        };
+                        let r = recipe(&spec);
+                        assert_eq!(resolve_capture(&r), Ok(spec));
+                        assert_eq!(resolve_recipe(&r), Ok(spec.to_run_spec()), "{spec}");
+                    }
+                }
+            }
         }
     }
 

@@ -11,11 +11,15 @@
 //! differing record.
 //!
 //! The `trace_capture` and `trace_diff` binaries are thin CLI wrappers
-//! over this module; `crates/bench/tests/trace_roundtrip.rs` exercises
-//! the full capture → serialize → parse → replay → compare loop.
+//! over this module, and `pei-sim` runs a [`CaptureSpec`] too;
+//! `trace_capture` and `pei-sim` read its flags with
+//! [`CaptureSpec::read_flag`]. `crates/bench/tests/trace_roundtrip.rs`
+//! exercises the full capture → serialize → parse → replay → compare
+//! loop.
 //!
 //! [`StatsReport`]: pei_engine::StatsReport
 
+use crate::cli::Args;
 use crate::runner::RunSpec;
 use crate::{ExpOptions, Scale};
 use pei_core::DispatchPolicy;
@@ -35,14 +39,9 @@ pub fn policy_name(p: DispatchPolicy) -> &'static str {
 
 /// Inverse of [`policy_name`].
 pub fn parse_policy(s: &str) -> Option<DispatchPolicy> {
-    [
-        DispatchPolicy::HostOnly,
-        DispatchPolicy::PimOnly,
-        DispatchPolicy::LocalityAware,
-        DispatchPolicy::LocalityAwareBalanced,
-    ]
-    .into_iter()
-    .find(|&p| policy_name(p) == s)
+    DispatchPolicy::ALL
+        .into_iter()
+        .find(|&p| policy_name(p) == s)
 }
 
 /// Parses a policy as the command-line tools name it: the short names
@@ -122,6 +121,24 @@ impl std::fmt::Display for CaptureSpec {
     }
 }
 
+impl Default for CaptureSpec {
+    /// ATF at medium size under Locality-Aware, with the
+    /// [`ExpOptions`] defaults: quick scale, the scaled machine and the
+    /// default seed.
+    fn default() -> Self {
+        let opts = ExpOptions::default();
+        CaptureSpec {
+            workload: Workload::Atf,
+            size: InputSize::Medium,
+            policy: DispatchPolicy::LocalityAware,
+            scale: opts.scale,
+            paper_machine: opts.paper_machine,
+            seed: opts.seed,
+            pei_budget: None,
+        }
+    }
+}
+
 impl CaptureSpec {
     /// The runnable cell this recipe describes.
     pub fn to_run_spec(&self) -> RunSpec {
@@ -136,6 +153,39 @@ impl CaptureSpec {
             params.pei_budget = b;
         }
         RunSpec::sized(opts.machine(self.policy), params, self.workload, self.size)
+    }
+
+    /// Reads one recipe flag of a command line into this spec, for a
+    /// [`crate::cli::parse`] callback: `-w/--workload`,
+    /// `-s/--size` (`small|medium|large` or `s|m|l`), `-p/--policy` (the
+    /// [`parse_policy_short`] names), all case-insensitive, and
+    /// `--budget N`. Returns `Ok(false)` for any other flag.
+    ///
+    /// # Errors
+    ///
+    /// Names the flag and the value it could not read (see
+    /// [`Args::choice`]).
+    pub fn read_flag(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "-w" | "--workload" => {
+                self.workload = args.choice("atf|bfs|pr|sp|wcc|hj|hg|rp|sc|svm", parse_workload)?;
+            }
+            "-s" | "--size" => {
+                self.size = args.choice("small|medium|large", |v| match v {
+                    "s" => Some(InputSize::Small),
+                    "m" => Some(InputSize::Medium),
+                    "l" => Some(InputSize::Large),
+                    long => parse_size(long),
+                })?;
+            }
+            "-p" | "--policy" => {
+                self.policy =
+                    args.choice("host|pim|la|bd or their long names", parse_policy_short)?;
+            }
+            "--budget" => self.pei_budget = Some(args.int()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// Writes this recipe into a sink's metadata table under `spec.*`
@@ -286,17 +336,99 @@ mod tests {
         for s in InputSize::ALL {
             assert_eq!(parse_size(size_name(s)), Some(s));
         }
-        for p in [
-            DispatchPolicy::HostOnly,
-            DispatchPolicy::PimOnly,
-            DispatchPolicy::LocalityAware,
-            DispatchPolicy::LocalityAwareBalanced,
-        ] {
+        for p in DispatchPolicy::ALL {
             assert_eq!(parse_policy(policy_name(p)), Some(p));
         }
         for sc in [Scale::Quick, Scale::Full] {
             assert_eq!(Scale::parse(sc.name()), Some(sc));
         }
+    }
+
+    /// The spec `line`'s recipe flags describe, read as `pei-sim` and
+    /// `trace_capture` read them.
+    fn read(line: &str) -> Result<CaptureSpec, String> {
+        let mut spec = CaptureSpec::default();
+        crate::cli::parse(
+            line.split_whitespace().map(str::to_owned),
+            &[],
+            &mut ExpOptions::default(),
+            |arg, args| spec.read_flag(arg, args),
+        )?;
+        Ok(spec)
+    }
+
+    #[test]
+    fn flag_reader_accepts_every_pei_sim_spelling() {
+        let spec = read("-w ATF -s m -p LA --budget 500").unwrap();
+        assert_eq!(
+            (spec.workload, spec.size, spec.policy, spec.pei_budget),
+            (
+                Workload::Atf,
+                InputSize::Medium,
+                DispatchPolicy::LocalityAware,
+                Some(500)
+            )
+        );
+        for w in Workload::ALL {
+            let label = w.label();
+            assert_eq!(read(&format!("-w {label}")).unwrap().workload, w);
+            let lower = label.to_lowercase();
+            assert_eq!(read(&format!("--workload {lower}")).unwrap().workload, w);
+        }
+        for (value, size) in [
+            ("s", InputSize::Small),
+            ("small", InputSize::Small),
+            ("m", InputSize::Medium),
+            ("Medium", InputSize::Medium),
+            ("l", InputSize::Large),
+            ("LARGE", InputSize::Large),
+        ] {
+            assert_eq!(read(&format!("-s {value}")).unwrap().size, size, "{value}");
+            assert_eq!(read(&format!("--size {value}")).unwrap().size, size);
+        }
+        for (value, policy) in [
+            ("host", DispatchPolicy::HostOnly),
+            ("pim", DispatchPolicy::PimOnly),
+            ("la", DispatchPolicy::LocalityAware),
+            ("bd", DispatchPolicy::LocalityAwareBalanced),
+            ("lab", DispatchPolicy::LocalityAwareBalanced),
+            (
+                "locality-aware-balanced",
+                DispatchPolicy::LocalityAwareBalanced,
+            ),
+            ("Pim-Only", DispatchPolicy::PimOnly),
+        ] {
+            assert_eq!(
+                read(&format!("-p {value}")).unwrap().policy,
+                policy,
+                "{value}"
+            );
+            assert_eq!(read(&format!("--policy {value}")).unwrap().policy, policy);
+        }
+        assert_eq!(read("").unwrap(), CaptureSpec::default());
+    }
+
+    #[test]
+    fn flag_reader_names_the_flag_of_a_value_it_refuses() {
+        assert_eq!(
+            read("-p warp").unwrap_err(),
+            "unknown -p value `warp` (host|pim|la|bd or their long names)"
+        );
+        assert_eq!(
+            read("--size tiny").unwrap_err(),
+            "unknown --size value `tiny` (small|medium|large)"
+        );
+        let err = read("--workload quicksort").unwrap_err();
+        assert!(
+            err.starts_with("unknown --workload value `quicksort`"),
+            "{err}"
+        );
+        assert_eq!(
+            read("--budget x").unwrap_err(),
+            "--budget must be an integer, got `x`"
+        );
+        assert_eq!(read("-w").unwrap_err(), "-w needs a value");
+        assert_eq!(read("--stats").unwrap_err(), "unknown argument `--stats`");
     }
 
     #[test]

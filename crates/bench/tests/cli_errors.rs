@@ -4,12 +4,14 @@
 //! removed — `--shards` (the sharded engine), `figures --trace` (use
 //! `trace_capture`) and `sim_throughput --checked` (now `--check`) —
 //! and output paths that cannot be written, which are refused before
-//! any cell runs.
+//! any cell runs. Each case names a piece of the error it must be
+//! refused with, so a case cannot pass for a reason other than its own.
 
 use std::process::Command;
 
-/// (binary, arguments) pairs that must each be refused.
-fn cases() -> Vec<(&'static str, Vec<String>)> {
+/// (binary, arguments, text the error must contain) for each command
+/// line that must be refused.
+fn cases() -> Vec<(&'static str, Vec<String>, &'static str)> {
     let missing = std::env::temp_dir().join("pei-cli-errors-missing.petr");
     let missing = missing.to_string_lossy().into_owned();
     let no_dir = std::env::temp_dir().join("pei-cli-errors-no-such-dir");
@@ -19,37 +21,54 @@ fn cases() -> Vec<(&'static str, Vec<String>)> {
     let sim_throughput = env!("CARGO_BIN_EXE_sim_throughput");
     let trace_capture = env!("CARGO_BIN_EXE_trace_capture");
     vec![
-        (figures, args("fig6 --bogus")),
-        (figures, args("fig6 --jobs x")),
-        (figures, args("fig6 --seed")),
-        (figures, args("fig5")),
-        (figures, args("")),
-        (figures, args("--scale quick")),
+        (figures, args("fig6 --bogus"), "`--bogus`"),
+        (figures, args("fig6 --jobs x"), "--jobs must be"),
+        (figures, args("fig6 --seed"), "--seed needs a value"),
+        (figures, args("fig5"), "unknown figure `fig5`"),
+        (figures, args(""), "no figure named"),
+        (figures, args("--scale quick"), "no figure named"),
         (
             figures,
             vec!["fig10".into(), "--trace".into(), unwritable("x.petr")],
+            "`--trace`",
         ),
-        (figures, args("fig6 --shards 2")),
-        (sim_throughput, args("--bogus")),
-        (sim_throughput, args("--checked")),
-        (sim_throughput, args("--jobs 2")),
-        (sim_throughput, args("--shards 2")),
-        (sim_throughput, vec!["--out".into(), unwritable("x.json")]),
-        (trace_capture, args("--policy lab")),
-        (trace_capture, args("--policy warp")),
-        (trace_capture, args("--shards 2")),
-        (trace_capture, vec!["--replay".into(), missing.clone()]),
+        (figures, args("fig6 --shards 2"), "`--shards`"),
+        (sim_throughput, args("--bogus"), "`--bogus`"),
+        (sim_throughput, args("--checked"), "`--checked`"),
+        (sim_throughput, args("--jobs 2"), "`--jobs`"),
+        (sim_throughput, args("--shards 2"), "`--shards`"),
+        (
+            sim_throughput,
+            vec!["--out".into(), unwritable("x.json")],
+            "cannot write",
+        ),
+        // `lab` is an alias of `bd`: this capture is refused only for
+        // its missing output path.
+        (trace_capture, args("--policy lab"), "needs -o"),
+        (trace_capture, args("--policy warp -o x.petr"), "`warp`"),
+        (trace_capture, args("--size tiny -o x.petr"), "`tiny`"),
+        (trace_capture, args("--shards 2"), "`--shards`"),
+        (
+            trace_capture,
+            vec!["--replay".into(), missing.clone()],
+            "cannot load",
+        ),
         (
             env!("CARGO_BIN_EXE_trace_diff"),
             vec![missing.clone(), missing],
+            "cannot load",
         ),
-        (env!("CARGO_BIN_EXE_trace_diff"), args("a.petr")),
+        (
+            env!("CARGO_BIN_EXE_trace_diff"),
+            args("a.petr"),
+            "two trace paths",
+        ),
     ]
 }
 
 #[test]
 fn bad_arguments_exit_2_with_an_error_not_a_panic() {
-    for (bin, args) in cases() {
+    for (bin, args, reason) in cases() {
         let out = Command::new(bin)
             .args(&args)
             .output()
@@ -59,5 +78,9 @@ fn bad_arguments_exit_2_with_an_error_not_a_panic() {
         assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
         assert!(stderr.starts_with("error:"), "{what}: {stderr}");
         assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+        assert!(
+            stderr.contains(reason),
+            "{what} must name {reason}: {stderr}"
+        );
     }
 }

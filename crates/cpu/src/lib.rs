@@ -29,9 +29,7 @@
 pub mod core;
 pub mod tlb;
 pub mod trace;
-pub mod trace_io;
 
 pub use crate::core::{Core, CoreConfig, CoreEvent, CoreOut, TickOutcome};
 pub use tlb::{PageMap, Tlb, TlbConfig};
 pub use trace::{Op, PhasedTrace, VecPhases};
-pub use trace_io::RecordedTrace;

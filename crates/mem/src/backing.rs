@@ -231,54 +231,6 @@ impl BackingStore {
         self.pages.len()
     }
 
-    /// Serializes the store (heap top + materialized pages) to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn save<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(b"PEISTOR1")?;
-        w.write_all(&self.brk.to_le_bytes())?;
-        w.write_all(&(self.pages.len() as u64).to_le_bytes())?;
-        let mut pages: Vec<_> = self.pages.iter().collect();
-        pages.sort_by_key(|(p, _)| **p);
-        for (page, data) in pages {
-            w.write_all(&page.to_le_bytes())?;
-            w.write_all(&data[..])?;
-        }
-        Ok(())
-    }
-
-    /// Deserializes a store written by [`save`](Self::save).
-    ///
-    /// # Errors
-    ///
-    /// Fails with `InvalidData` on a bad magic, or propagates I/O errors.
-    pub fn load<R: std::io::Read>(r: &mut R) -> std::io::Result<BackingStore> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != b"PEISTOR1" {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "corrupt store: bad magic",
-            ));
-        }
-        let mut b8 = [0u8; 8];
-        r.read_exact(&mut b8)?;
-        let brk = u64::from_le_bytes(b8);
-        r.read_exact(&mut b8)?;
-        let n = u64::from_le_bytes(b8);
-        let mut pages = FastMap::default();
-        for _ in 0..n {
-            r.read_exact(&mut b8)?;
-            let page = u64::from_le_bytes(b8);
-            let mut data = Box::new([0u8; PAGE_BYTES]);
-            r.read_exact(&mut data[..])?;
-            pages.insert(page, data);
-        }
-        Ok(BackingStore { pages, brk })
-    }
-
     /// Relocates every materialized page through `map` (virtual page
     /// number → physical frame number). Used when the machine runs with a
     /// non-identity page table: workloads build data at virtual addresses
@@ -387,25 +339,6 @@ mod tests {
         }
         mem.write_block(addr.block(), &blk);
         assert_eq!(mem.read_block(addr.block()), blk);
-    }
-
-    #[test]
-    fn save_load_round_trips() {
-        let mut a = BackingStore::new();
-        let p = a.alloc(10_000, 64);
-        for i in 0..1000u64 {
-            a.write_u64(p.offset(i * 8), i * 31 + 7);
-        }
-        let mut buf = Vec::new();
-        a.save(&mut buf).unwrap();
-        let b = BackingStore::load(&mut buf.as_slice()).unwrap();
-        assert_eq!(b.heap_top(), a.heap_top());
-        assert_eq!(b.resident_pages(), a.resident_pages());
-        for i in 0..1000u64 {
-            assert_eq!(b.read_u64(p.offset(i * 8)), i * 31 + 7);
-        }
-        // Bad magic rejected.
-        assert!(BackingStore::load(&mut b"XXXXXXXX".as_slice()).is_err());
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //! submission.
 //!
 //! Scheduling is strict across priority bands and fair within one:
-//! each band keeps a sub-queue per tenant, drained by deficit
-//! round-robin with unit job cost, so a tenant flooding the queue
-//! cannot starve the others — under saturation any two
-//! continuously-backlogged tenants' completion counts stay within
-//! `workers + 1` jobs of each other (the DRR bound with quantum 1).
+//! each band keeps a sub-queue per tenant, drained round-robin one job
+//! at a time, so a tenant flooding the queue cannot starve the others —
+//! under saturation any two continuously-backlogged tenants' completion
+//! counts stay within `workers + 1` jobs of each other.
 //!
 //! The byte-identity contract holds end to end: the `stats` text inside
 //! a `result` frame equals the one-shot binary's rendering of the same
@@ -47,13 +46,11 @@
 pub mod chaos;
 
 use pei_bench::runner::RunSpec;
-use pei_bench::service::{resolve_capture, resolve_recipe, run_bounded, Stopped};
+use pei_bench::service::{resolve_capture, resolve_recipe, result_frame, run_bounded, Stopped};
 use pei_bench::tracecap::CaptureSpec;
 use pei_system::RunResult;
 use pei_trace::{Recorder, TraceSink};
-use pei_types::wire::{
-    Priority, Recipe, Request, Response, ResultFrame, StatsFrame, TenantStat, WorkerStat,
-};
+use pei_types::wire::{Priority, Recipe, Request, Response, StatsFrame, TenantStat, WorkerStat};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -354,69 +351,51 @@ struct TenantAcct {
     waits_ms: VecDeque<u64>,
 }
 
-/// One tenant's sub-queue within a band, with its DRR deficit counter.
-#[derive(Default)]
-struct TenantQueue {
-    /// Queued jobs with their enqueue instant (for the wait percentiles).
-    jobs: VecDeque<(Job, Instant)>,
-    /// Deficit round-robin credit, in job units.
-    deficit: u64,
-}
-
-/// DRR quantum, in job units. Jobs have no reliable cost estimate
-/// before they run, so cost = quantum = 1: each backlogged tenant
-/// releases exactly one job per round, and two continuously-backlogged
-/// tenants' service never diverges by more than one round's worth of
-/// in-flight work (`workers + 1` jobs).
-const DRR_QUANTUM: u64 = 1;
-
-/// One strict-priority band: per-tenant sub-queues plus the round-robin
+/// One strict-priority band: per-tenant sub-queues of jobs with their
+/// enqueue instants (for the wait percentiles), plus the round-robin
 /// ring of tenants that currently have backlog. Invariant: a tenant is
 /// in `ring` exactly once iff its queue is non-empty.
 #[derive(Default)]
 struct Band {
-    queues: HashMap<String, TenantQueue>,
+    queues: HashMap<String, VecDeque<(Job, Instant)>>,
     ring: VecDeque<String>,
 }
 
 impl Band {
     fn push(&mut self, tenant: &str, job: Job) {
         let q = self.queues.entry(tenant.to_owned()).or_default();
-        if q.jobs.is_empty() {
+        if q.is_empty() {
             self.ring.push_back(tenant.to_owned());
         }
-        q.jobs.push_back((job, Instant::now()));
+        q.push_back((job, Instant::now()));
     }
 
-    /// Deficit round-robin over the backlogged tenants: the front
-    /// tenant earns one quantum, releases one job, and goes to the back
-    /// of the ring if it still has backlog (leftover deficit is reset
-    /// when the backlog empties, so idle tenants bank no credit).
+    /// Round-robin over the backlogged tenants: the front tenant
+    /// releases one job and goes to the back of the ring if it still
+    /// has backlog. Jobs have no reliable cost estimate before they
+    /// run, so each counts as one: two continuously-backlogged tenants'
+    /// service never diverges by more than one round's worth of
+    /// in-flight work (`workers + 1` jobs).
     fn pop(&mut self) -> Option<(Job, Instant, String)> {
         while let Some(tenant) = self.ring.pop_front() {
             let q = self
                 .queues
                 .get_mut(&tenant)
                 .expect("ring tenants have queues");
-            q.deficit += DRR_QUANTUM;
-            if let Some((job, enqueued)) = q.jobs.pop_front() {
-                q.deficit -= 1;
-                if q.jobs.is_empty() {
-                    q.deficit = 0;
-                } else {
+            if let Some((job, enqueued)) = q.pop_front() {
+                if !q.is_empty() {
                     self.ring.push_back(tenant.clone());
                 }
                 return Some((job, enqueued, tenant));
             }
             // A tenant in the ring with no backlog violates the
             // invariant; drop it and keep scanning.
-            q.deficit = 0;
         }
         None
     }
 
     fn len(&self) -> u64 {
-        self.queues.values().map(|q| q.jobs.len() as u64).sum()
+        self.queues.values().map(|q| q.len() as u64).sum()
     }
 }
 
@@ -834,25 +813,6 @@ fn write_capture(
         .seal(result, sink.as_mut())
         .ok_or_else(|| "the recorder lost its capture".to_owned())?;
     std::fs::write(path, bytes).map_err(|e| format!("can't write trace `{path}`: {e}"))
-}
-
-/// Renders a completed run as its wire frame. The `stats` member is the
-/// full report's text rendering — the unit of the byte-identity
-/// contract.
-fn result_frame(id: u64, r: &RunResult, trace: Option<String>) -> ResultFrame {
-    ResultFrame {
-        job: id,
-        cycles: r.cycles,
-        instructions: r.instructions,
-        peis: r.peis,
-        pim_fraction: r.pim_fraction,
-        offchip_bytes: r.offchip_bytes,
-        offchip_flits: r.offchip_flits,
-        dram_accesses: r.dram_accesses,
-        energy_total_nj: r.energy.total(),
-        stats: r.stats.to_string(),
-        trace,
-    }
 }
 
 /// Nearest-rank percentile of a sorted sample window (0 when empty).

@@ -686,8 +686,8 @@ fn tenants_drain_round_robin_within_bands_and_high_priority_preempts_the_queue()
     // One worker; a filler job pins it while the backlog builds, so the
     // drain order is decided purely by the scheduler: tenant a queues
     // four jobs, then tenant b queues four, then tenant c queues one at
-    // high priority. The high job runs first, and a/b alternate under
-    // deficit round-robin even though a's whole burst arrived earlier.
+    // high priority. The high job runs first, and a/b alternate
+    // round-robin even though a's whole burst arrived earlier.
     let mut filler = quick_recipe("la");
     filler.size = "medium".to_owned();
     filler.budget = Some(200_000);
@@ -746,7 +746,7 @@ fn tenants_drain_round_robin_within_bands_and_high_priority_preempts_the_queue()
     assert_eq!(
         completion_order,
         vec![1, 10, 2, 6, 3, 7, 4, 8, 5, 9],
-        "high drains first, then a/b alternate under DRR"
+        "high drains first, then a/b alternate round-robin"
     );
 
     let stats = responses

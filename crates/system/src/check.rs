@@ -39,7 +39,7 @@
 //! culprit component.
 
 use pei_engine::{FastMap, SimRng};
-use pei_trace::{StreamSink, Trace, TraceSink};
+use pei_trace::Trace;
 use pei_types::{BlockAddr, Cycle};
 
 use crate::system::System;
@@ -161,34 +161,25 @@ impl FailureReport {
         )
     }
 
-    /// Persists the captured failure window as a `.petr` file via the
-    /// streaming sink, returning the number of records written (0 if
-    /// the run carried no retained events).
+    /// Persists the captured failure window as a `.petr` file, its
+    /// metadata tagged with the failure's kind and cycle, returning the
+    /// number of records written (0 if the run carried no retained
+    /// events). The file keeps the ring's `dropped` count.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures from [`StreamSink`].
+    /// Propagates the I/O error from writing `path`.
     pub fn save_window(&self, path: &std::path::Path) -> std::io::Result<u64> {
         let Some(t) = &self.recent_events else {
             return Ok(0);
         };
-        let mut sink = StreamSink::create(path)?;
-        let comps: Vec<_> = t.comps.iter().map(|n| sink.comp(n)).collect();
-        let kinds: Vec<_> = t.kinds.iter().map(|n| sink.kind(n)).collect();
-        for (k, v) in &t.meta {
-            sink.meta(k, v);
-        }
-        sink.meta("failure.kind", self.kind.label());
-        sink.meta("failure.cycle", &self.cycle.to_string());
-        for r in &t.records {
-            sink.record(
-                r.cycle,
-                comps[r.comp.0 as usize],
-                kinds[r.kind.0 as usize],
-                r.payload,
-            );
-        }
-        sink.finish()
+        let mut t = t.clone();
+        t.meta
+            .push(("failure.kind".into(), self.kind.label().into()));
+        t.meta
+            .push(("failure.cycle".into(), self.cycle.to_string()));
+        std::fs::write(path, t.to_bytes())?;
+        Ok(t.records.len() as u64)
     }
 }
 

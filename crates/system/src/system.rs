@@ -1592,13 +1592,17 @@ mod tests {
     }
 
     #[test]
-    fn failure_report_window_persists_via_stream_sink() {
+    fn failure_report_window_persists_with_its_dropped_count() {
         let cfg = MachineConfig::scaled(DispatchPolicy::LocalityAware);
         let mut store = BackingStore::new();
         let trace = tiny_workload(&mut store);
         let mut sys = System::new(cfg, store);
         sys.add_workload(trace, vec![0]);
-        sys.enable_checks(CheckConfig::default());
+        // A window small enough that the ring evicts records.
+        sys.enable_checks(CheckConfig {
+            window: 4,
+            ..CheckConfig::default()
+        });
         for v in &mut sys.vaults {
             v.fault_wedge();
         }
@@ -1613,6 +1617,8 @@ mod tests {
         let loaded = pei_trace::Trace::load(&path).unwrap();
         assert_eq!(loaded.records, events.records);
         assert_eq!(loaded.meta_get("failure.kind"), Some("stalled"));
+        assert!(events.dropped > 0, "a 4-record ring must evict");
+        assert_eq!(loaded.dropped, events.dropped);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -54,11 +54,9 @@ pub mod perfetto;
 pub mod record;
 pub mod recorder;
 pub mod sink;
-pub mod stream;
 
 pub use diff::{diff, Divergence, Resolved};
 pub use format::TraceError;
 pub use record::{CompId, KindId, Record};
 pub use recorder::{Recorder, Trace};
 pub use sink::{NullSink, TraceSink};
-pub use stream::StreamSink;

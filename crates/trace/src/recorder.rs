@@ -100,15 +100,6 @@ impl Recorder {
     pub fn to_bytes(&self) -> Vec<u8> {
         self.to_trace().to_bytes()
     }
-
-    /// Writes the `.petr` file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error from creating or writing the file.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
 }
 
 fn intern(table: &mut Vec<String>, ids: &mut HashMap<String, u16>, name: &str) -> u16 {

@@ -28,8 +28,8 @@ pub trait TraceSink: Send {
     fn meta(&mut self, key: &str, value: &str);
 
     /// Serializes the sink's captured trace to `.petr` bytes, if it
-    /// retains one. Sinks that stream or discard records (like
-    /// [`NullSink`]) return `None`; [`crate::Recorder`] returns its
+    /// retains one. Sinks that discard records (like [`NullSink`])
+    /// return `None`; [`crate::Recorder`] returns its
     /// buffer. This is how callers holding only the boxed sink a
     /// simulator hands back recover the capture without downcasting.
     fn to_petr(&self) -> Option<Vec<u8>> {

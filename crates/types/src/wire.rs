@@ -155,7 +155,7 @@ impl Recipe {
 
 /// A submission's scheduling band. Bands are strict: the daemon never
 /// starts a job while a higher band has one queued; *within* a band,
-/// tenants share by deficit round-robin.
+/// tenants share round-robin, one job per turn.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Drained before everything else (interactive probes).
