@@ -3,12 +3,16 @@
 //! `figures` binary that reproduces the paper's results.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use pei_bench::service::result_frame;
+use pei_bench::tracecap::CaptureSpec;
 use pei_core::{DispatchPolicy, LocalityMonitor, PimDirectory};
 use pei_cpu::trace::{Op, VecPhases};
 use pei_engine::EventQueue;
 use pei_mem::{BackingStore, CacheArray, LineState};
 use pei_system::{MachineConfig, System};
+use pei_types::wire::Response;
 use pei_types::{Addr, BlockAddr, OperandValue, PimOpKind, ReqId};
+use pei_workloads::{InputSize, Workload};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("engine/event_queue_push_pop_1k", |b| {
@@ -179,6 +183,22 @@ fn bench_end_to_end(c: &mut Criterion) {
     });
 }
 
+/// Decoding one daemon result frame, the client's cost per job: the
+/// frame carries the stats report of a PR cell on the scaled machine
+/// (about 9 KB) as one JSON string.
+fn bench_json_decode(c: &mut Criterion) {
+    c.bench_function("types/json_decode_result_frame", |b| {
+        let spec = CaptureSpec {
+            workload: Workload::Pr,
+            size: InputSize::Small,
+            pei_budget: Some(500),
+            ..CaptureSpec::default()
+        };
+        let line = Response::Result(result_frame(1, &spec.to_run_spec().run(), None)).encode();
+        b.iter(|| black_box(Response::decode(black_box(&line)).is_ok()))
+    });
+}
+
 criterion_group!(
     benches,
     bench_event_queue,
@@ -186,6 +206,7 @@ criterion_group!(
     bench_pim_directory,
     bench_locality_monitor,
     bench_pim_op_apply,
-    bench_end_to_end
+    bench_end_to_end,
+    bench_json_decode
 );
 criterion_main!(benches);

@@ -107,17 +107,24 @@ pub struct CaptureSpec {
 }
 
 impl std::fmt::Display for CaptureSpec {
+    /// `ATF/small/locality-aware (quick, seed 24301)`, with `, paper`
+    /// after the scale on the paper machine and `, budget N` at the end
+    /// when the PEI budget is overridden.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}/{}/{} ({}{}, seed {})",
+            "{}/{}/{} ({}{}, seed {}",
             self.workload.label(),
             size_name(self.size),
             policy_name(self.policy),
             self.scale.name(),
             if self.paper_machine { ", paper" } else { "" },
             self.seed
-        )
+        )?;
+        if let Some(budget) = self.pei_budget {
+            write!(f, ", budget {budget}")?;
+        }
+        f.write_str(")")
     }
 }
 
@@ -346,6 +353,35 @@ mod tests {
 
     /// The spec `line`'s recipe flags describe, read as `pei-sim` and
     /// `trace_capture` read them.
+    #[test]
+    fn display_names_a_budget_override() {
+        let spec = CaptureSpec {
+            workload: Workload::Atf,
+            size: InputSize::Small,
+            ..CaptureSpec::default()
+        };
+        assert_eq!(
+            spec.to_string(),
+            "ATF/small/locality-aware (quick, seed 24301)"
+        );
+        let budget = CaptureSpec {
+            pei_budget: Some(2000),
+            ..spec
+        };
+        assert_eq!(
+            budget.to_string(),
+            "ATF/small/locality-aware (quick, seed 24301, budget 2000)"
+        );
+        let paper = CaptureSpec {
+            paper_machine: true,
+            ..budget
+        };
+        assert_eq!(
+            paper.to_string(),
+            "ATF/small/locality-aware (quick, paper, seed 24301, budget 2000)"
+        );
+    }
+
     fn read(line: &str) -> Result<CaptureSpec, String> {
         let mut spec = CaptureSpec::default();
         crate::cli::parse(

@@ -9,7 +9,7 @@
 
 use crate::tlb::{PageMap, Tlb, PAGE_SHIFT};
 use crate::trace::Op;
-use pei_engine::{CounterId, Counters, FastSet, Outbox};
+use pei_engine::{CounterId, Counters, Outbox};
 use pei_types::mem::ns;
 use pei_types::{Addr, CoreId, Cycle, OperandValue, PimOpKind, ReqId};
 use std::collections::VecDeque;
@@ -110,10 +110,11 @@ pub struct Core {
     id: CoreId,
     cfg: CoreConfig,
     ops: VecDeque<Op>,
-    mem_outstanding: FastSet<ReqId>,
+    /// In-flight loads and stores, at most `max_mem_inflight` of them.
+    mem_outstanding: Vec<ReqId>,
     next_mem_local: u64,
     pei_next_seq: u64,
-    pei_outstanding: FastSet<u64>,
+    pei_outstanding: PeiWindow,
     pei_credits_in_use: usize,
     fence_wait: bool,
     parked: bool,
@@ -121,6 +122,58 @@ pub struct Core {
     page_map: PageMap,
     counters: Counters,
     c: CoreCounters,
+}
+
+/// The PEIs a core has issued but not seen complete. Sequence numbers
+/// issue in order, so the set is a window of flags from the oldest
+/// outstanding PEI up to the next sequence number.
+#[derive(Debug, Default)]
+struct PeiWindow {
+    /// Sequence number of `flags[0]`.
+    base: u64,
+    /// Whether each PEI from `base` on is still outstanding; the front
+    /// flag is always set.
+    flags: VecDeque<bool>,
+}
+
+impl PeiWindow {
+    /// Records the issue of `seq`, the next sequence number.
+    fn insert(&mut self, seq: u64) {
+        if self.flags.is_empty() {
+            self.base = seq;
+        }
+        debug_assert_eq!(
+            seq,
+            self.base + self.flags.len() as u64,
+            "PEIs issue in order"
+        );
+        self.flags.push_back(true);
+    }
+
+    /// Records the completion of `seq` (a no-op if it is not outstanding).
+    fn remove(&mut self, seq: u64) {
+        let Some(flag) = seq
+            .checked_sub(self.base)
+            .and_then(|i| self.flags.get_mut(i as usize))
+        else {
+            return;
+        };
+        *flag = false;
+        while self.flags.front() == Some(&false) {
+            self.flags.pop_front();
+            self.base += 1;
+        }
+    }
+
+    fn contains(&self, seq: u64) -> bool {
+        seq.checked_sub(self.base)
+            .and_then(|i| self.flags.get(i as usize))
+            .is_some_and(|&f| f)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.flags.is_empty()
+    }
 }
 
 /// The core's counter bank.
@@ -158,10 +211,10 @@ impl Core {
             id,
             cfg,
             ops: VecDeque::new(),
-            mem_outstanding: FastSet::default(),
+            mem_outstanding: Vec::new(),
             next_mem_local: 0,
             pei_next_seq: 0,
-            pei_outstanding: FastSet::default(),
+            pei_outstanding: PeiWindow::default(),
             pei_credits_in_use: 0,
             fence_wait: false,
             parked: false,
@@ -234,10 +287,12 @@ impl Core {
     pub fn on_event(&mut self, ev: CoreEvent) -> bool {
         match ev {
             CoreEvent::MemDone(id) => {
-                self.mem_outstanding.remove(&id);
+                if let Some(i) = self.mem_outstanding.iter().position(|&m| m == id) {
+                    self.mem_outstanding.swap_remove(i);
+                }
             }
             CoreEvent::PeiDone(seq) => {
-                self.pei_outstanding.remove(&seq);
+                self.pei_outstanding.remove(seq);
             }
             CoreEvent::PeiCredit => {
                 debug_assert!(self.pei_credits_in_use > 0);
@@ -300,7 +355,7 @@ impl Core {
                     } else {
                         self.next_mem_local += 1;
                         let id = ReqId::tagged(ns::CORE, self.id.0, self.next_mem_local);
-                        self.mem_outstanding.insert(id);
+                        self.mem_outstanding.push(id);
                         out.push(CoreOut::Mem {
                             id,
                             addr: self.page_map.translate(addr),
@@ -324,7 +379,7 @@ impl Core {
                     } else {
                         self.next_mem_local += 1;
                         let id = ReqId::tagged(ns::CORE, self.id.0, self.next_mem_local);
-                        self.mem_outstanding.insert(id);
+                        self.mem_outstanding.push(id);
                         out.push(CoreOut::Mem {
                             id,
                             addr: self.page_map.translate(addr),
@@ -344,7 +399,7 @@ impl Core {
                         && self
                             .pei_next_seq
                             .checked_sub(dep_dist as u64)
-                            .is_some_and(|dep| self.pei_outstanding.contains(&dep));
+                            .is_some_and(|dep| self.pei_outstanding.contains(dep));
                     if dep_unmet || self.pei_credits_in_use >= self.cfg.max_pei_inflight {
                         if dep_unmet {
                             self.counters.inc(self.c.stall_pei_dep);
@@ -638,6 +693,42 @@ mod tests {
         c.on_event(CoreEvent::MemDone(id));
         let o2 = tick(&mut c, 1);
         assert_eq!(o2.outs.len(), 1);
+    }
+
+    /// Seeded issue/complete sequences, with completions out of order,
+    /// repeated or for PEIs never issued: the window answers as a set of
+    /// sequence numbers would.
+    #[test]
+    fn pei_window_matches_a_set_model() {
+        let mut rng = pei_engine::SimRng::seed_from(0x9e1);
+        let mut w = PeiWindow::default();
+        let mut model = std::collections::BTreeSet::new();
+        let mut next = 0u64;
+        for _ in 0..20_000 {
+            match rng.gen_range(5) {
+                0 | 1 if model.len() < 40 => {
+                    w.insert(next);
+                    model.insert(next);
+                    next += 1;
+                }
+                0..=3 => {
+                    // Mostly a recent PEI; sometimes one long done or not
+                    // yet issued.
+                    let seq = next.saturating_sub(rng.gen_range(48)) + rng.gen_range(2);
+                    w.remove(seq);
+                    model.remove(&seq);
+                }
+                _ => {
+                    let seq = next.saturating_sub(rng.gen_range(64));
+                    assert_eq!(w.contains(seq), model.contains(&seq), "seq {seq}");
+                }
+            }
+            assert_eq!(w.is_empty(), model.is_empty());
+            if let Some(&oldest) = model.first() {
+                assert_eq!(w.base, oldest);
+                assert_eq!(w.flags.len() as u64, next - oldest);
+            }
+        }
     }
 
     #[test]

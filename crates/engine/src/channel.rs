@@ -34,6 +34,10 @@ pub struct BwChannel {
     /// delivery times on very long runs.
     free_at_fx: u128,
     bytes_carried: u64,
+    /// The last transfer's size and its serialization time in 1/4096ths
+    /// of a cycle: links and ports carry a few message sizes over and
+    /// over, so a repeated size skips the divide and the `ceil`.
+    last: (u64, u64),
 }
 
 const FX: u64 = 4096;
@@ -52,14 +56,20 @@ impl BwChannel {
             latency,
             free_at_fx: 0,
             bytes_carried: 0,
+            last: (0, 0),
         }
     }
 
     /// Enqueues a transfer of `bytes` arriving at cycle `now` and returns
     /// the cycle at which it is fully delivered at the far end.
+    #[inline]
     pub fn transfer(&mut self, now: Cycle, bytes: u64) -> Cycle {
         let start = self.free_at_fx.max(now as u128 * FX as u128);
-        let dur = ((bytes as f64 / self.bytes_per_cycle) * FX as f64).ceil() as u64;
+        if bytes != self.last.0 {
+            let dur = ((bytes as f64 / self.bytes_per_cycle) * FX as f64).ceil() as u64;
+            self.last = (bytes, dur);
+        }
+        let dur = self.last.1;
         self.free_at_fx = start + dur as u128;
         self.bytes_carried += bytes;
         self.free_at_fx.div_ceil(FX as u128) as Cycle + self.latency
@@ -103,6 +113,7 @@ impl Occupancy {
 
     /// Reserves the resource for `duration` cycles starting no earlier than
     /// `now`; returns the actual start cycle.
+    #[inline]
     pub fn reserve(&mut self, now: Cycle, duration: Cycle) -> Cycle {
         let start = self.free_at.max(now);
         self.free_at = start + duration;
@@ -201,6 +212,28 @@ mod tests {
         assert_eq!(c.transfer(now, 64), now + 12); // queued behind the first
         assert_eq!(c.free_at(), now + 8);
         assert_eq!(c.bytes_carried(), 128);
+    }
+
+    #[test]
+    fn repeated_sizes_cost_what_fresh_ones_do() {
+        // The remembered (bytes, duration) pair must give the same times
+        // as computing every transfer afresh, across size changes and at
+        // rates that leave a fraction.
+        let sizes = [8u64, 8, 72, 72, 72, 8, 24, 0, 0, 24, 8, 72, 72];
+        for rate in [9.0, 10.0, 16.0, 20.0] {
+            let mut memo = BwChannel::new(rate, 3);
+            for (i, &bytes) in sizes.iter().enumerate() {
+                let mut fresh = memo.clone();
+                fresh.last = (u64::MAX, 0);
+                let now = i as u64 * 2;
+                assert_eq!(
+                    memo.transfer(now, bytes),
+                    fresh.transfer(now, bytes),
+                    "rate {rate} #{i}"
+                );
+                assert_eq!(memo.free_at_fx, fresh.free_at_fx);
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! - **In-window** schedules append to the singly-linked FIFO list of
 //!   their cycle's bucket — O(1), FIFO by construction. Buckets are two
 //!   flat `u32` arrays (list head/tail per bucket) indexing into one
-//!   reusable slot slab, so the working set stays compact: the pending
+//!   reusable slot slab, whose free slots are chained through the same
+//!   `next` links, so the working set stays compact: the pending
 //!   population lives in one contiguous allocation regardless of how
 //!   many buckets it spreads across, and the pop-side scan for the next
 //!   non-empty cycle walks a dense `u32` array.
@@ -72,10 +73,12 @@ pub struct EventQueue<E> {
     cursor: usize,
     /// Events currently held in buckets.
     in_window: usize,
-    /// Slot storage for bucket entries; freed slots are recycled via
-    /// `free`, so steady-state scheduling allocates nothing.
+    /// Slot storage for bucket entries; freed slots are recycled through
+    /// the free list, so steady-state scheduling allocates nothing.
     slab: Vec<Slot<E>>,
-    free: Vec<u32>,
+    /// Head of the free-slot list (`NIL` when empty), chained through
+    /// `Slot::next`.
+    free: u32,
     /// Events at cycles `>= base + window`, ordered by `(at, seq)`.
     overflow: BinaryHeap<Reverse<Entry<E>>>,
     /// Cycle of the earliest overflow entry (`u64::MAX` when empty):
@@ -85,13 +88,15 @@ pub struct EventQueue<E> {
     /// Events scheduled below `base` after the window moved past their
     /// cycle; always popped before anything in the window.
     late: BinaryHeap<Reverse<Entry<E>>>,
-    seq: u64,
+    /// Events ever scheduled; also each heap entry's `seq`, the global
+    /// schedule order.
     scheduled: u64,
 }
 
-/// A slab slot: one bucket-resident event and its FIFO successor. The
-/// cycle is implied by the bucket; no per-slot `seq` is needed because
-/// bucket lists are appended to in schedule order only.
+/// A slab slot: one bucket-resident event and its FIFO successor, or,
+/// when free, the next free slot. The cycle is implied by the bucket; no
+/// per-slot `seq` is needed because bucket lists are appended to in
+/// schedule order only.
 #[derive(Debug)]
 struct Slot<E> {
     next: u32,
@@ -148,11 +153,10 @@ impl<E> EventQueue<E> {
             cursor: 0,
             in_window: 0,
             slab: Vec::new(),
-            free: Vec::new(),
+            free: NIL,
             overflow: BinaryHeap::new(),
             overflow_next: u64::MAX,
             late: BinaryHeap::new(),
-            seq: 0,
             scheduled: 0,
         }
     }
@@ -167,21 +171,20 @@ impl<E> EventQueue<E> {
     /// (which must be inside the window).
     #[inline]
     fn push_bucket(&mut self, at: Cycle, ev: E) {
-        let idx = match self.free.pop() {
-            Some(i) => {
-                let s = &mut self.slab[i as usize];
-                s.next = NIL;
-                s.ev = Some(ev);
-                i
-            }
-            None => {
-                assert!(self.slab.len() < NIL as usize, "event population overflow");
-                self.slab.push(Slot {
-                    next: NIL,
-                    ev: Some(ev),
-                });
-                (self.slab.len() - 1) as u32
-            }
+        let idx = if self.free != NIL {
+            let i = self.free;
+            let s = &mut self.slab[i as usize];
+            self.free = s.next;
+            s.next = NIL;
+            s.ev = Some(ev);
+            i
+        } else {
+            assert!(self.slab.len() < NIL as usize, "event population overflow");
+            self.slab.push(Slot {
+                next: NIL,
+                ev: Some(ev),
+            });
+            (self.slab.len() - 1) as u32
         };
         let b = (at & self.mask) as usize;
         if self.heads[b] == NIL {
@@ -191,6 +194,19 @@ impl<E> EventQueue<E> {
         }
         self.tails[b] = idx;
         self.in_window += 1;
+    }
+
+    /// Unlinks the head of the current bucket, returns its slot to the
+    /// free list and yields its event.
+    #[inline]
+    fn pop_head(&mut self) -> E {
+        let i = self.heads[self.cursor];
+        let slot = &mut self.slab[i as usize];
+        self.heads[self.cursor] = slot.next;
+        slot.next = self.free;
+        self.free = i;
+        self.in_window -= 1;
+        slot.ev.take().expect("bucket slot holds an event")
     }
 
     /// Moves overflow entries whose cycle the window now covers into
@@ -210,7 +226,6 @@ impl<E> EventQueue<E> {
 
     /// Schedules `ev` to fire at absolute cycle `at`.
     pub fn schedule(&mut self, at: Cycle, ev: E) {
-        self.seq += 1;
         self.scheduled += 1;
         if at >= self.base {
             if at - self.base < self.window() {
@@ -219,14 +234,14 @@ impl<E> EventQueue<E> {
                 self.overflow_next = self.overflow_next.min(at);
                 self.overflow.push(Reverse(Entry {
                     at,
-                    seq: self.seq,
+                    seq: self.scheduled,
                     ev,
                 }));
             }
         } else {
             self.late.push(Reverse(Entry {
                 at,
-                seq: self.seq,
+                seq: self.scheduled,
                 ev,
             }));
         }
@@ -252,13 +267,7 @@ impl<E> EventQueue<E> {
                     self.refill();
                 }
             }
-            let i = self.heads[self.cursor] as usize;
-            let slot = &mut self.slab[i];
-            self.heads[self.cursor] = slot.next;
-            let ev = slot.ev.take().expect("bucket slot holds an event");
-            self.free.push(i as u32);
-            self.in_window -= 1;
-            return Some((self.base, ev));
+            return Some((self.base, self.pop_head()));
         }
         // Window empty: jump it to the earliest overflow entry.
         let Reverse(e) = self.overflow.pop()?;
@@ -301,13 +310,7 @@ impl<E> EventQueue<E> {
             // its cycle.
             while self.base < limit {
                 if self.heads[self.cursor] != NIL {
-                    let i = self.heads[self.cursor] as usize;
-                    let slot = &mut self.slab[i];
-                    self.heads[self.cursor] = slot.next;
-                    let ev = slot.ev.take().expect("bucket slot holds an event");
-                    self.free.push(i as u32);
-                    self.in_window -= 1;
-                    return Some((self.base, ev));
+                    return Some((self.base, self.pop_head()));
                 }
                 self.base += 1;
                 self.cursor = (self.cursor + 1) & self.mask as usize;

@@ -8,7 +8,7 @@
 //! back-invalidation / back-writeback requests used before memory-side PEI
 //! execution (§4.3).
 
-use crate::cache::{presence, CacheArray, Line};
+use crate::cache::{presence, CacheArray, Line, LineState};
 use crate::config::MemHierarchyConfig;
 use crate::msg::{
     Grant, L3Req, L3ReqKind, L3Resp, MemFetch, MemFetchDone, PimFlush, PimFlushDone, Recall,
@@ -68,8 +68,12 @@ pub enum L3Out {
 enum TxnKind {
     /// Hit path: waiting for recalls before granting `req`.
     Grant { req: L3Req },
-    /// Miss path: possibly evicting a victim, then fetching from memory.
-    Fill { req: L3Req, victim: Option<Line> },
+    /// Miss path: possibly evicting a victim (its block and line), then
+    /// fetching from memory.
+    Fill {
+        req: L3Req,
+        victim: Option<(BlockAddr, Line)>,
+    },
     /// PMU back-invalidation / back-writeback.
     Flush { id: ReqId, invalidate: bool },
 }
@@ -191,13 +195,14 @@ impl L3Bank {
         let start = self.port.reserve(now, 1);
         self.counters.inc(self.c.accesses);
         match self.array.lookup(req.block) {
-            Some(_) => self.on_hit(start, req, out),
+            Some(way) => self.on_hit(start, req, way, out),
             None => self.on_miss(start, req, out),
         }
     }
 
     fn on_put(&mut self, req: L3Req) {
-        if let Some(line) = self.array.line_mut(req.block) {
+        if let Some(way) = self.array.lookup(req.block) {
+            let line = self.array.line_at_mut(req.block, way);
             line.presence = presence::remove(line.presence, req.core);
             if line.owner == Some(req.core) {
                 line.owner = None;
@@ -210,9 +215,9 @@ impl L3Bank {
         // the victim notice; nothing to do (the recall already handled it).
     }
 
-    fn on_hit(&mut self, start: Cycle, req: L3Req, out: &mut Outbox<L3Out>) {
+    fn on_hit(&mut self, start: Cycle, req: L3Req, way: usize, out: &mut Outbox<L3Out>) {
         self.counters.inc(self.c.hits);
-        let line = self.array.line(req.block).expect("hit");
+        let line = self.array.line_at_mut(req.block, way);
         // The recall set is a presence mask plus an op: iterating the mask
         // directly emits the same cores in the same order the collected
         // `Vec<Recall>` used to, with no staging buffer.
@@ -233,11 +238,10 @@ impl L3Bank {
 
         let n = presence::count(mask);
         if n == 0 {
-            self.grant(start + self.lat, req, out);
+            self.grant(start + self.lat, req, way, out);
         } else {
-            self.counters.add(self.c.recalls, n as u64);
-            let line = self.array.line_mut(req.block).expect("hit");
             line.locked = true;
+            self.counters.add(self.c.recalls, n as u64);
             self.txns.insert(
                 req.block,
                 Txn {
@@ -262,9 +266,9 @@ impl L3Bank {
     }
 
     /// Updates directory state and emits the grant for a request whose
-    /// recalls (if any) are complete. The line must be present.
-    fn grant(&mut self, at: Cycle, req: L3Req, out: &mut Outbox<L3Out>) {
-        let line = self.array.line_mut(req.block).expect("grant needs line");
+    /// recalls (if any) are complete. The line must be present in `way`.
+    fn grant(&mut self, at: Cycle, req: L3Req, way: usize, out: &mut Outbox<L3Out>) {
+        let line = self.array.line_at_mut(req.block, way);
         let grant = match req.kind {
             L3ReqKind::GetS => {
                 if let Some(owner) = line.owner {
@@ -289,7 +293,7 @@ impl L3Bank {
             L3ReqKind::PutS | L3ReqKind::PutM => unreachable!(),
         };
         line.locked = false;
-        self.array.touch(req.block);
+        self.array.touch_at(req.block, way);
         out.push(L3Out::Resp {
             resp: L3Resp {
                 id: req.id,
@@ -312,17 +316,13 @@ impl L3Bank {
             self.overflow.push_back(L3In::Req(req));
             return;
         };
-        let victim = victim_ref.cloned();
+        let victim = victim_ref.map(|(block, line)| (block, *line));
+        // Replace the victim (if any) with a locked placeholder for the
+        // incoming block so the way cannot be double-booked.
+        self.array.install(req.block, way, LineState::Shared).locked = true;
         match victim {
-            Some(v) => {
+            Some((victim_block, v)) => {
                 self.counters.inc(self.c.evictions);
-                // Take the victim out and install a locked placeholder for
-                // the incoming block so the way cannot be double-booked.
-                self.array.take_way(req.block, way);
-                let placeholder =
-                    self.array
-                        .install(req.block, way, crate::cache::LineState::Shared);
-                placeholder.locked = true;
 
                 let mut mask = v.presence;
                 if let Some(owner) = v.owner {
@@ -332,19 +332,18 @@ impl L3Bank {
                 if n == 0 {
                     // No private copies: write back if dirty, fetch now.
                     if v.dirty {
-                        self.writeback(start + self.lat, v.block, out);
+                        self.writeback(start + self.lat, victim_block, out);
                     }
                     self.start_fetch(start, req, out);
                 } else {
                     self.counters.add(self.c.recalls, n as u64);
-                    let victim_block = v.block;
                     self.victims.insert(victim_block, req.block);
                     self.txns.insert(
                         req.block,
                         Txn {
                             kind: TxnKind::Fill {
                                 req,
-                                victim: Some(v),
+                                victim: Some((victim_block, v)),
                             },
                             phase: Phase::VictimAcks,
                             pending_acks: n,
@@ -364,13 +363,7 @@ impl L3Bank {
                     }
                 }
             }
-            None => {
-                let placeholder =
-                    self.array
-                        .install(req.block, way, crate::cache::LineState::Shared);
-                placeholder.locked = true;
-                self.start_fetch(start, req, out);
-            }
+            None => self.start_fetch(start, req, out),
         }
     }
 
@@ -416,7 +409,7 @@ impl L3Bank {
         }
         let start = self.port.reserve(now, 1);
         self.counters.inc(self.c.flushes);
-        let Some(line) = self.array.line(flush.block) else {
+        let Some(way) = self.array.lookup(flush.block) else {
             // Inclusive hierarchy: absent from L3 means absent everywhere.
             out.push(L3Out::FlushDone {
                 done: PimFlushDone {
@@ -427,6 +420,7 @@ impl L3Bank {
             });
             return;
         };
+        let line = self.array.line_at_mut(flush.block, way);
         let mut mask = line.presence;
         if let Some(owner) = line.owner {
             mask = presence::add(mask, owner);
@@ -441,15 +435,14 @@ impl L3Bank {
             self.finish_flush(
                 start + self.lat,
                 flush.id,
-                flush.block,
+                (flush.block, way),
                 flush.invalidate,
                 false,
                 out,
             );
         } else {
-            self.counters.add(self.c.recalls, n as u64);
-            let line = self.array.line_mut(flush.block).expect("present");
             line.locked = true;
+            self.counters.add(self.c.recalls, n as u64);
             self.txns.insert(
                 flush.block,
                 Txn {
@@ -476,17 +469,18 @@ impl L3Bank {
         }
     }
 
+    /// Completes a flush of `block`, held in `way`.
     fn finish_flush(
         &mut self,
         at: Cycle,
         id: ReqId,
-        block: BlockAddr,
+        (block, way): (BlockAddr, usize),
         invalidate: bool,
         dirty_seen: bool,
         out: &mut Outbox<L3Out>,
     ) {
         let dirty = {
-            let line = self.array.line_mut(block).expect("flush line present");
+            let line = self.array.line_at_mut(block, way);
             let d = line.dirty || dirty_seen;
             line.dirty = false;
             line.locked = false;
@@ -500,7 +494,7 @@ impl L3Bank {
             self.writeback(at, block, out);
         }
         if invalidate {
-            self.array.invalidate(block);
+            self.array.take_way(block, way);
         }
         out.push(L3Out::FlushDone {
             done: PimFlushDone { id, block },
@@ -512,18 +506,14 @@ impl L3Bank {
         // A fill's recalls target its *victim*, which has left the array,
         // so no grant or flush can be keyed by that block, but a later
         // fill for the very same block can be: ask the victim index first.
-        let key = match self.victims.get(&ack.block) {
-            Some(&fill) => fill,
-            None if self
-                .txns
-                .get(&ack.block)
-                .is_some_and(|t| t.phase == Phase::RecallAcks) =>
-            {
-                ack.block
-            }
-            None => return, // stale ack after a raced eviction
+        let fill = self.victims.get(&ack.block).copied();
+        let key = fill.unwrap_or(ack.block);
+        let txn = match (self.txns.get_mut(&key), fill) {
+            (Some(txn), Some(_)) => txn,
+            (Some(txn), None) if txn.phase == Phase::RecallAcks => txn,
+            (None, Some(_)) => unreachable!("the victim index names a live fill"),
+            _ => return, // stale ack after a raced eviction
         };
-        let txn = self.txns.get_mut(&key).expect("just found");
         txn.dirty_seen |= ack.dirty;
         txn.pending_acks = txn.pending_acks.saturating_sub(1);
         if txn.pending_acks > 0 {
@@ -533,23 +523,22 @@ impl L3Bank {
         let at = now + self.lat;
         match txn.kind {
             TxnKind::Grant { req } => {
-                {
-                    let line = self.array.line_mut(req.block).expect("granting");
-                    line.dirty |= txn.dirty_seen;
-                    // Invalidated/downgraded copies no longer hold the line
-                    // exclusively; directory updates happen in grant().
-                    if req.kind == L3ReqKind::GetM {
-                        line.presence = 0;
-                        line.owner = None;
-                    }
+                let way = self.array.lookup(req.block).expect("granting");
+                let line = self.array.line_at_mut(req.block, way);
+                line.dirty |= txn.dirty_seen;
+                // Invalidated/downgraded copies no longer hold the line
+                // exclusively; directory updates happen in grant().
+                if req.kind == L3ReqKind::GetM {
+                    line.presence = 0;
+                    line.owner = None;
                 }
-                self.grant(at, req, out);
+                self.grant(at, req, way, out);
             }
             TxnKind::Fill { req, victim } => {
-                let v = victim.expect("victim-phase fill has a victim");
-                self.victims.remove(&v.block);
+                let (victim_block, v) = victim.expect("victim-phase fill has a victim");
+                self.victims.remove(&victim_block);
                 if v.dirty || txn.dirty_seen {
-                    self.writeback(at, v.block, out);
+                    self.writeback(at, victim_block, out);
                 }
                 self.start_fetch(now, req, out);
                 // Preserve the deferred queue across the phase change.
@@ -559,7 +548,8 @@ impl L3Bank {
                 return; // fill continues; don't drain deferred yet
             }
             TxnKind::Flush { id, invalidate } => {
-                self.finish_flush(at, id, key, invalidate, txn.dirty_seen, out);
+                let way = self.array.lookup(key).expect("flush line present");
+                self.finish_flush(at, id, (key, way), invalidate, txn.dirty_seen, out);
             }
         }
         self.drain_deferred(now, txn.deferred, out);
@@ -573,7 +563,8 @@ impl L3Bank {
         let TxnKind::Fill { req, .. } = txn.kind else {
             panic!("fetch completion for non-fill transaction");
         };
-        self.grant(now + self.lat, req, out);
+        let way = self.array.lookup(req.block).expect("fill placeholder");
+        self.grant(now + self.lat, req, way, out);
         self.drain_deferred(now, txn.deferred, out);
     }
 
@@ -633,8 +624,9 @@ impl L3Bank {
         self.txns.iter().map(|(b, t)| {
             let victim = match &t.kind {
                 TxnKind::Fill {
-                    victim: Some(v), ..
-                } => Some(v.block),
+                    victim: Some((v, _)),
+                    ..
+                } => Some(*v),
                 _ => None,
             };
             (*b, victim)

@@ -47,7 +47,7 @@ pub mod private;
 pub mod xbar;
 
 pub use backing::BackingStore;
-pub use cache::{CacheArray, LineState, LookupResult};
+pub use cache::{CacheArray, Line, LineState};
 pub use config::{CacheConfig, MemHierarchyConfig};
 pub use l3::L3Bank;
 pub use l3::{L3In, L3Out};

@@ -6,7 +6,6 @@
 //! per private cache).
 
 use crate::msg::L3ReqKind;
-use pei_engine::FastMap;
 use pei_types::{BlockAddr, ReqId};
 
 /// A request merged into an MSHR entry, waiting for the fill.
@@ -46,6 +45,9 @@ impl MshrEntry {
 
 /// A capacity-bounded file of [`MshrEntry`]s keyed by block.
 ///
+/// The file holds at most `capacity` entries (16 in Table 2), so it is a
+/// flat vector searched linearly rather than a hash map.
+///
 /// # Examples
 ///
 /// ```
@@ -61,7 +63,7 @@ impl MshrEntry {
 /// ```
 #[derive(Debug, Default)]
 pub struct MshrFile {
-    entries: FastMap<BlockAddr, MshrEntry>,
+    entries: Vec<MshrEntry>,
     capacity: usize,
     peak: usize,
     merges: u64,
@@ -76,11 +78,16 @@ impl MshrFile {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR capacity must be nonzero");
         MshrFile {
-            entries: FastMap::default(),
+            entries: Vec::new(),
             capacity,
             peak: 0,
             merges: 0,
         }
+    }
+
+    #[inline]
+    fn position(&self, block: BlockAddr) -> Option<usize> {
+        self.entries.iter().position(|e| e.block == block)
     }
 
     /// Whether a new distinct block can be tracked.
@@ -92,18 +99,15 @@ impl MshrFile {
     /// if the file is full or the block is already tracked — use
     /// [`merge`](Self::merge) for the latter.
     pub fn alloc(&mut self, block: BlockAddr, issued: L3ReqKind, id: ReqId, write: bool) -> bool {
-        if !self.has_room() || self.entries.contains_key(&block) {
+        if !self.has_room() || self.contains(block) {
             return false;
         }
-        self.entries.insert(
+        self.entries.push(MshrEntry {
             block,
-            MshrEntry {
-                block,
-                issued,
-                first: Waiter { id, write },
-                merged: Vec::new(),
-            },
-        );
+            issued,
+            first: Waiter { id, write },
+            merged: Vec::new(),
+        });
         self.peak = self.peak.max(self.entries.len());
         true
     }
@@ -111,7 +115,7 @@ impl MshrFile {
     /// Merges a same-block request into an existing entry. Returns `false`
     /// if the block is not tracked.
     pub fn merge(&mut self, block: BlockAddr, id: ReqId, write: bool) -> bool {
-        match self.entries.get_mut(&block) {
+        match self.get_mut(block) {
             Some(e) => {
                 e.merged.push(Waiter { id, write });
                 self.merges += 1;
@@ -123,22 +127,22 @@ impl MshrFile {
 
     /// Whether `block` has an in-flight miss.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.entries.contains_key(&block)
+        self.position(block).is_some()
     }
 
     /// Immutable access to an entry.
     pub fn get(&self, block: BlockAddr) -> Option<&MshrEntry> {
-        self.entries.get(&block)
+        self.position(block).map(|i| &self.entries[i])
     }
 
     /// Mutable access to an entry.
     pub fn get_mut(&mut self, block: BlockAddr) -> Option<&mut MshrEntry> {
-        self.entries.get_mut(&block)
+        self.position(block).map(|i| &mut self.entries[i])
     }
 
     /// Removes and returns the entry for `block` (on fill).
     pub fn retire(&mut self, block: BlockAddr) -> Option<MshrEntry> {
-        self.entries.remove(&block)
+        self.position(block).map(|i| self.entries.swap_remove(i))
     }
 
     /// Number of in-flight misses.
@@ -164,7 +168,7 @@ impl MshrFile {
     /// Blocks with an outstanding entry, in no particular order
     /// (invariant-checker access; see `pei-system`'s checked mode).
     pub fn blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.entries.keys().copied()
+        self.entries.iter().map(|e| e.block)
     }
 }
 
@@ -220,5 +224,65 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn zero_capacity_rejected() {
         MshrFile::new(0);
+    }
+
+    /// Seeded alloc/merge/retire sequences against a map model: every
+    /// answer matches, and `blocks()` holds exactly the model's keys.
+    #[test]
+    fn matches_a_map_model() {
+        use std::collections::BTreeMap;
+        let mut rng = pei_engine::SimRng::seed_from(0x3542);
+        for capacity in [1, 2, 4, 16] {
+            let mut m = MshrFile::new(capacity);
+            let mut model: BTreeMap<BlockAddr, (L3ReqKind, Vec<Waiter>)> = BTreeMap::new();
+            let mut peak = 0;
+            for step in 0..3000u64 {
+                let b = blk(rng.gen_range(2 * capacity as u64 + 2));
+                let w = Waiter {
+                    id: ReqId(step),
+                    write: rng.gen_range(2) == 0,
+                };
+                match rng.gen_range(4) {
+                    0 => {
+                        let kind = if w.write {
+                            L3ReqKind::GetM
+                        } else {
+                            L3ReqKind::GetS
+                        };
+                        let fits = model.len() < capacity && !model.contains_key(&b);
+                        assert_eq!(m.alloc(b, kind, w.id, w.write), fits);
+                        if fits {
+                            model.insert(b, (kind, vec![w]));
+                            peak = peak.max(model.len());
+                        }
+                    }
+                    1 => {
+                        let known = model.get_mut(&b).map(|(_, ws)| ws.push(w)).is_some();
+                        assert_eq!(m.merge(b, w.id, w.write), known);
+                    }
+                    2 => {
+                        let e = m.retire(b);
+                        let expected = model.remove(&b);
+                        assert_eq!(
+                            e.map(|e| (e.issued, e.waiters().copied().collect::<Vec<_>>())),
+                            expected
+                        );
+                    }
+                    _ => {
+                        assert_eq!(m.contains(b), model.contains_key(&b));
+                        assert_eq!(
+                            m.get(b).map(|e| (e.block, e.wants_write())),
+                            model.get(&b).map(|(_, ws)| (b, ws.iter().any(|w| w.write)))
+                        );
+                    }
+                }
+                assert_eq!(m.len(), model.len());
+                assert_eq!(m.has_room(), model.len() < capacity);
+                assert_eq!(m.peak(), peak);
+                let mut blocks: Vec<_> = m.blocks().collect();
+                blocks.sort();
+                assert_eq!(blocks, model.keys().copied().collect::<Vec<_>>());
+            }
+        }
     }
 }

@@ -148,53 +148,54 @@ impl PrivateCache {
 
     fn access(&mut self, start: Cycle, req: CoreReq, out: &mut Outbox<PrivOut>) {
         let block = req.addr.block();
-        let in_l1 = self.l1.lookup(block).is_some();
-        let l2_state = self.l2.line(block).map(|l| l.state);
-
-        match l2_state {
-            Some(state) if !req.write || state.writable() => {
-                // Hit somewhere in the private hierarchy with permission.
+        // One probe per array: the L2 (authoritative for permission), then
+        // the L1 only on a permitted hit.
+        let Some(w2) = self.l2.lookup(block) else {
+            self.counters.inc(self.c.l1_misses);
+            self.counters.inc(self.c.l2_misses);
+            let kind = if req.write {
+                L3ReqKind::GetM
+            } else {
+                L3ReqKind::GetS
+            };
+            self.miss(start, req, kind, out);
+            return;
+        };
+        let line = self.l2.line_at_mut(block, w2);
+        if req.write && !line.state.writable() {
+            // Present but Shared and a write was requested: upgrade.
+            self.counters.inc(self.c.l1_misses);
+            self.counters.inc(self.c.upgrades);
+            self.miss(start, req, L3ReqKind::GetM, out);
+            return;
+        }
+        // Hit somewhere in the private hierarchy with permission.
+        if req.write {
+            line.state = LineState::Modified;
+            line.dirty = true;
+        }
+        let state = line.state;
+        self.l2.touch_at(block, w2);
+        let lat = match self.l1.lookup(block) {
+            Some(w1) => {
                 if req.write {
-                    let line = self.l2.line_mut(block).expect("hit line");
-                    line.state = LineState::Modified;
-                    line.dirty = true;
-                    if let Some(l1l) = self.l1.line_mut(block) {
-                        l1l.state = LineState::Modified;
-                    }
+                    self.l1.line_at_mut(block, w1).state = LineState::Modified;
                 }
-                let lat = if in_l1 {
-                    self.counters.inc(self.c.l1_hits);
-                    self.l1_lat
-                } else {
-                    self.counters.inc(self.c.l1_misses);
-                    self.counters.inc(self.c.l2_hits);
-                    self.fill_l1(block);
-                    self.l2_lat
-                };
-                self.l1.touch(block);
-                self.l2.touch(block);
-                out.push(PrivOut::CoreResp {
-                    id: req.id,
-                    at: start + lat,
-                });
-            }
-            Some(_) => {
-                // Present but Shared and a write was requested: upgrade.
-                self.counters.inc(self.c.l1_misses);
-                self.counters.inc(self.c.upgrades);
-                self.miss(start, req, L3ReqKind::GetM, out);
+                self.l1.touch_at(block, w1);
+                self.counters.inc(self.c.l1_hits);
+                self.l1_lat
             }
             None => {
                 self.counters.inc(self.c.l1_misses);
-                self.counters.inc(self.c.l2_misses);
-                let kind = if req.write {
-                    L3ReqKind::GetM
-                } else {
-                    L3ReqKind::GetS
-                };
-                self.miss(start, req, kind, out);
+                self.counters.inc(self.c.l2_hits);
+                self.fill_l1(block, state);
+                self.l2_lat
             }
-        }
+        };
+        out.push(PrivOut::CoreResp {
+            id: req.id,
+            at: start + lat,
+        });
     }
 
     fn miss(&mut self, start: Cycle, req: CoreReq, kind: L3ReqKind, out: &mut Outbox<PrivOut>) {
@@ -216,18 +217,20 @@ impl PrivateCache {
         }
     }
 
-    /// Brings `block` (already valid in L2) into the L1, folding any dirty
-    /// L1 victim back into its L2 line.
-    fn fill_l1(&mut self, block: BlockAddr) {
-        let state = self.l2.line(block).expect("L1 fill requires L2 line").state;
-        if let Some(victim) = self.l1.insert(block, state) {
-            if victim.dirty {
-                if let Some(l2l) = self.l2.line_mut(victim.block) {
+    /// Brings `block` (valid in L2 in `state`, absent from the L1) into
+    /// the L1 as its most recent line, folding any dirty L1 victim back
+    /// into its L2 line. Returns the L1 way filled.
+    fn fill_l1(&mut self, block: BlockAddr, state: LineState) -> usize {
+        let (way, victim) = self.l1.fill(block, state);
+        if let Some((victim, line)) = victim {
+            if line.dirty {
+                if let Some(l2l) = self.l2.line_mut(victim) {
                     l2l.dirty = true;
                     l2l.state = LineState::Modified;
                 }
             }
         }
+        way
     }
 
     /// Handles a fill/grant from the L3.
@@ -244,28 +247,35 @@ impl PrivateCache {
         };
 
         // Install or update the L2 line (an upgrade finds it already there;
-        // a concurrent invalidation may have removed it).
-        if let Some(line) = self.l2.line_mut(resp.block) {
-            line.state = granted;
-            line.dirty = line.dirty || granted == LineState::Modified;
-        } else if let Some(victim) = self.l2.insert(resp.block, granted) {
-            self.l1.invalidate(victim.block);
-            self.tainted.remove(&victim.block.0);
+        // a concurrent invalidation may have removed it). A fresh install
+        // is already the most recent line.
+        let (w2, victim) = match self.l2.lookup(resp.block) {
+            Some(w2) => {
+                let line = self.l2.line_at_mut(resp.block, w2);
+                line.state = granted;
+                line.dirty = line.dirty || granted == LineState::Modified;
+                self.l2.touch_at(resp.block, w2);
+                (w2, None)
+            }
+            None => self.l2.fill(resp.block, granted),
+        };
+        if let Some((victim, line)) = victim {
+            self.l1.invalidate(victim);
+            self.tainted.remove(&victim.0);
             // Evicting a block whose own miss (an upgrade) is still
             // pending: the Put notice below reaches the L3 after it has
             // granted that miss, erasing us from the presence mask while
             // we hold the granted copy. Mark it for the MESI auditor.
-            if self.mshr.contains(victim.block) {
-                self.overtaken.insert(victim.block.0);
+            if self.mshr.contains(victim) {
+                self.overtaken.insert(victim.0);
             }
-            self.counters
-                .add(self.c.writebacks, u64::from(victim.dirty));
+            self.counters.add(self.c.writebacks, u64::from(line.dirty));
             out.push(PrivOut::ToL3 {
                 req: L3Req {
                     id: pei_types::ReqId(0),
                     core: self.core,
-                    block: victim.block,
-                    kind: if victim.dirty {
+                    block: victim,
+                    kind: if line.dirty {
                         L3ReqKind::PutM
                     } else {
                         L3ReqKind::PutS
@@ -277,9 +287,14 @@ impl PrivateCache {
         if overtaken {
             self.tainted.insert(resp.block.0);
         }
-        self.l2.touch(resp.block);
-        self.fill_l1(resp.block);
-        self.l1.touch(resp.block);
+        // An upgrade may find the L1 copy; it is refreshed in place.
+        let w1 = match self.l1.lookup(resp.block) {
+            Some(w1) => {
+                self.l1.install(resp.block, w1, granted);
+                w1
+            }
+            None => self.fill_l1(resp.block, granted),
+        };
 
         // Answer the merged waiters. If the grant was read-only but a
         // writer was merged after the GetS left, re-request exclusivity.
@@ -297,12 +312,10 @@ impl PrivateCache {
                 }
             } else {
                 if w.write {
-                    let line = self.l2.line_mut(resp.block).expect("just installed");
+                    let line = self.l2.line_at_mut(resp.block, w2);
                     line.state = LineState::Modified;
                     line.dirty = true;
-                    if let Some(l1l) = self.l1.line_mut(resp.block) {
-                        l1l.state = LineState::Modified;
-                    }
+                    self.l1.line_at_mut(resp.block, w1).state = LineState::Modified;
                 }
                 out.push(PrivOut::CoreResp {
                     id: w.id,
@@ -338,13 +351,14 @@ impl PrivateCache {
     pub fn handle_recall(&mut self, now: Cycle, recall: Recall, out: &mut Outbox<PrivOut>) {
         self.counters.inc(self.c.recalls_seen);
         let start = self.port.reserve(now, 1);
-        let (dirty, was_present) = match self.l2.line_mut(recall.block) {
-            Some(line) => {
+        let (dirty, was_present) = match self.l2.lookup(recall.block) {
+            Some(w2) => {
+                let line = self.l2.line_at_mut(recall.block, w2);
                 let dirty = line.dirty;
                 match recall.op {
                     RecallOp::Invalidate => {
                         self.l1.invalidate(recall.block);
-                        self.l2.invalidate(recall.block);
+                        self.l2.take_way(recall.block, w2);
                     }
                     RecallOp::Downgrade => {
                         line.state = LineState::Shared;
@@ -408,7 +422,7 @@ impl PrivateCache {
     /// Every valid line of the authoritative (L2) array as
     /// `(block, state)`, for cross-component invariant sweeps.
     pub fn lines(&self) -> impl Iterator<Item = (BlockAddr, LineState)> + '_ {
-        self.l2.iter().map(|l| (l.block, l.state))
+        self.l2.iter().map(|(b, l)| (b, l.state))
     }
 
     /// Whether this cache's copy of `block` went stale through the

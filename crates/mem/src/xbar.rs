@@ -71,6 +71,7 @@ impl Crossbar {
     /// # Panics
     ///
     /// Panics if `src` is not a valid port index.
+    #[inline]
     pub fn send(&mut self, src: usize, now: Cycle, payload: XbarPayload) -> Cycle {
         self.messages += 1;
         self.ports[src].transfer(now, payload.bytes())

@@ -35,11 +35,11 @@ proptest! {
         for op in ops {
             match op {
                 CacheOp::Insert(b) => {
-                    let evicted = c.insert(BlockAddr(b), LineState::Shared);
+                    let (_, evicted) = c.insert(BlockAddr(b), LineState::Shared);
                     present.insert(b);
-                    if let Some(l) = evicted {
-                        if l.block.0 != b {
-                            present.remove(&l.block.0);
+                    if let Some((block, _)) = evicted {
+                        if block.0 != b {
+                            present.remove(&block.0);
                         }
                     }
                 }
@@ -72,8 +72,8 @@ proptest! {
             order.retain(|&x| x != t);
             order.push(t);
         }
-        let evicted = c.insert(BlockAddr(99), LineState::Shared).unwrap();
-        prop_assert_eq!(evicted.block.0, order[0]);
+        let (evicted, _) = c.insert(BlockAddr(99), LineState::Shared).1.unwrap();
+        prop_assert_eq!(evicted.0, order[0]);
     }
 
     /// The backing store behaves like a flat byte array.

@@ -453,12 +453,16 @@ impl<'a> Parser<'a> {
                 }
                 0x00..=0x1f => return Err(self.err("raw control character in string")),
                 _ => {
-                    // Consume one UTF-8 scalar: the input is a &str, so
-                    // the bytes are valid UTF-8 by construction.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain bytes up to the next quote,
+                    // backslash or control byte. All three are ASCII, so
+                    // the run ends on a char boundary of the input (a
+                    // &str), and the bytes are valid UTF-8.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(std::str::from_utf8(&self.bytes[self.pos..run]).unwrap());
+                    self.pos = run;
                 }
             }
         }
@@ -509,6 +513,24 @@ mod tests {
         // Surrogate-pair decoding.
         let v = Json::parse(r#""𝄞""#).unwrap();
         assert_eq!(v.as_str(), Some("𝄞"));
+        // Plain runs ending on multi-byte UTF-8, on escapes and on \u
+        // surrogate pairs, and runs of multi-byte characters between them.
+        for (src, want) in [
+            (r#""abcé""#, "abcé"),
+            (r#""é𝄞ü""#, "é𝄞ü"),
+            (r#""ab\ncd""#, "ab\ncd"),
+            (r#""ab\\""#, "ab\\"),
+            (r#""aé\"bü""#, "aé\"bü"),
+            (r#""ab\ud834\udd1ecd""#, "ab𝄞cd"),
+            (r#""é\ud834\udd1e𝄞\u00e9x""#, "é𝄞𝄞éx"),
+            (r#""\u0041bc""#, "Abc"),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(Json::parse(src).unwrap().as_str(), Some(want), "{src}");
+        }
+        let long = "xyzé".repeat(3000);
+        let v = Json::parse(&Json::Str(long.clone()).encode()).unwrap();
+        assert_eq!(v.as_str(), Some(long.as_str()));
     }
 
     #[test]
@@ -530,6 +552,19 @@ mod tests {
         let err = Json::parse("\"ab").unwrap_err();
         assert!(err.to_string().contains("unterminated"));
         let err = Json::parse(r#""\ud834""#).unwrap_err();
+        assert!(err.to_string().contains("surrogate"));
+        // A raw control byte after a run is reported at its own offset,
+        // and a run that reaches the end of input is unterminated there.
+        let err = Json::parse("\"abé\ncd\"").unwrap_err();
+        assert_eq!(err.offset, 5);
+        assert!(err.to_string().contains("control"));
+        let err = Json::parse("\"abé").unwrap_err();
+        assert_eq!(err.offset, 5);
+        assert!(err.to_string().contains("unterminated"));
+        let err = Json::parse(r#""ab\qcd""#).unwrap_err();
+        assert_eq!(err.offset, 4);
+        let err = Json::parse(r#""é\ud834x""#).unwrap_err();
+        assert_eq!(err.offset, 9);
         assert!(err.to_string().contains("surrogate"));
     }
 

@@ -271,14 +271,23 @@ fn main() {
             seed: args.spec.seed,
         };
     }
-    eprintln!(
-        "running {} under {} (budget {} PEIs{}{})...",
-        args.spec,
-        run.cfg.policy,
-        run.params.pei_budget,
-        if args.ideal_host { ", Ideal-Host" } else { "" },
-        if args.vm { ", virtual memory" } else { "" }
-    );
+    // The spec names an overridden budget itself.
+    let mut notes = Vec::new();
+    if args.spec.pei_budget.is_none() {
+        notes.push(format!("budget {} PEIs", run.params.pei_budget));
+    }
+    if args.ideal_host {
+        notes.push("Ideal-Host".to_string());
+    }
+    if args.vm {
+        notes.push("virtual memory".to_string());
+    }
+    let notes = if notes.is_empty() {
+        String::new()
+    } else {
+        format!(" ({})", notes.join(", "))
+    };
+    eprintln!("running {} under {}{notes}...", args.spec, run.cfg.policy);
     let mut sys = run.build();
     let start = Instant::now();
     let r = sys.run(run.max_cycles);
