@@ -17,9 +17,11 @@
 //! record is spliced into the existing JSON array at `--out` instead of
 //! replacing it, so the checked-in file accumulates a history.
 //!
-//! `--traced` attaches a [`pei_trace::NullSink`] to every measured run:
-//! the simulator takes the full per-event capture path (interning
-//! lookups, one virtual call per event) but retains nothing, so the
+//! `--traced` attaches to every measured run the recorder that checked
+//! mode attaches: a [`pei_trace::Recorder`] ring of
+//! `CheckConfig::default().window` (256) records. The simulator takes
+//! the full per-event capture path (the kind/payload match and one
+//! direct `record` call per event) while memory stays bounded, so the
 //! throughput delta against an untraced run isolates the cost of
 //! tracing itself (EXPERIMENTS.md §"Tracing overhead"). Simulated
 //! results are identical either way — tracing observes, never steers.
@@ -42,7 +44,8 @@ use pei_bench::runner::RunSpec;
 use pei_bench::tracecap::policy_name;
 use pei_bench::{check_writable, ExpOptions};
 use pei_core::DispatchPolicy;
-use pei_trace::NullSink;
+use pei_system::CheckConfig;
+use pei_trace::Recorder;
 use pei_workloads::{InputSize, Workload};
 
 /// The fixed mix: one graph, one analytics, and one ML workload, each
@@ -212,7 +215,8 @@ fn main() {
         for _ in 0..args.repeat {
             let t0 = Instant::now();
             let r = if args.traced {
-                spec.run_traced(Box::new(NullSink::new())).0
+                spec.run_traced(Recorder::with_capacity(CheckConfig::default().window))
+                    .0
             } else {
                 spec.run()
             };

@@ -1,6 +1,7 @@
 //! Captures, replays, and exports `.petr` event traces (DESIGN.md §8).
 //!
-//! Three modes:
+//! Three modes, one per invocation (`--replay`, `--export` and `-o`
+//! exclude each other, and `--replay` takes no `--perfetto`):
 //!
 //! ```text
 //! # Capture one cell, writing a replayable trace (and optionally a
@@ -66,6 +67,26 @@ fn parse_args() -> Args {
         },
     );
     (a.spec.scale, a.spec.paper_machine, a.spec.seed) = (opts.scale, opts.paper_machine, opts.seed);
+    let modes: Vec<&str> = [
+        ("--replay", a.replay.is_some()),
+        ("--export", a.export.is_some()),
+        ("-o", a.out.is_some()),
+    ]
+    .into_iter()
+    .filter_map(|(flag, given)| given.then_some(flag))
+    .collect();
+    if modes.len() > 1 {
+        fail(&format!(
+            "{} can't be combined: each is its own mode\n\n{USAGE}",
+            modes.join(" and ")
+        ));
+    }
+    if a.replay.is_some() && a.perfetto.is_some() {
+        fail(&format!(
+            "--replay and --perfetto can't be combined: export a capture with \
+             --export <in.petr> --perfetto <out.json>\n\n{USAGE}"
+        ));
+    }
     if a.export.is_some() && a.perfetto.is_none() {
         fail(&format!("--export needs --perfetto <out.json>\n\n{USAGE}"));
     }

@@ -195,7 +195,7 @@ impl RunSpec {
     /// Builds the simulated machine for this cell — workload inputs
     /// generated, threads mapped to cores — without running it. Callers
     /// that want the plain result use [`run`](RunSpec::run); callers
-    /// that attach observers (a [`pei_trace::TraceSink`], say) build
+    /// that attach observers (a [`pei_trace::Recorder`], say) build
     /// first and drive [`System::run`] themselves.
     pub fn build(&self) -> System {
         match &self.input {
@@ -250,20 +250,17 @@ impl RunSpec {
         sys.run(self.max_cycles)
     }
 
-    /// Executes this cell with `sink` attached as an event tracer,
-    /// returning the result and the detached sink. The simulated
+    /// Executes this cell with `rec` attached as its event recorder,
+    /// returning the result and the detached recorder. The simulated
     /// outcome is identical to [`run`](RunSpec::run) — tracing observes,
     /// never steers (see DESIGN.md §8).
-    pub fn run_traced(
-        &self,
-        sink: Box<dyn pei_trace::TraceSink>,
-    ) -> (RunResult, Box<dyn pei_trace::TraceSink>) {
+    pub fn run_traced(&self, rec: pei_trace::Recorder) -> (RunResult, pei_trace::Recorder) {
         let mut sys = self.build();
-        sys.attach_tracer(sink);
+        sys.attach_tracer(rec);
         self.arm(&mut sys);
         let result = sys.run(self.max_cycles);
-        let sink = sys.detach_tracer().expect("tracer was just attached");
-        (result, sink)
+        let rec = sys.detach_tracer().expect("tracer was just attached");
+        (result, rec)
     }
 
     /// The cache keys of the graphs this cell reads: none for inputs

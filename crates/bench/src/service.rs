@@ -20,8 +20,8 @@ use crate::tracecap::{
     parse_policy_short, parse_size, parse_workload, policy_name, size_name, CaptureSpec,
 };
 use crate::Scale;
-use pei_system::{FaultKind, FaultPlan, RunResult};
-use pei_trace::TraceSink;
+use pei_system::{FaultKind, FaultPlan, RunResult, RunStatus};
+use pei_trace::Recorder;
 use pei_types::wire::{Recipe, ResultFrame};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -182,58 +182,62 @@ pub fn result_frame(id: u64, r: &RunResult, trace: Option<String>) -> ResultFram
 /// Runs `spec` to completion unless `cancel` is set or `deadline`
 /// passes first — the daemon's job runner.
 ///
-/// The simulation is sliced into `slice`-cycle windows
-/// (`System::run_cancellable`); between windows `progress` receives the
-/// cycle reached, then the flag and the deadline are checked. A stop
-/// lands on a slice boundary and the job's machine is dropped. Both
-/// conditions are also checked before the machine is built, so a job
-/// that is already cancelled or expired never builds one. When
-/// both trip in the same window, cancellation wins (it is the caller's
-/// explicit request). Slicing never changes a result: a run that
-/// completes is byte-identical to [`RunSpec::run`].
+/// The simulation is sliced into `slice`-cycle
+/// [`run_paused`](pei_system::System::run_paused) windows; after each
+/// pause `progress` receives the cycle reached, then the flag and the
+/// deadline are checked. A stop lands on a slice boundary and the job's
+/// machine is dropped. Both conditions are also checked before the
+/// machine is built, so a job that is already cancelled or expired
+/// never builds one. When both trip, cancellation wins (it is the
+/// caller's explicit request). Slicing never changes a result: a run
+/// that completes is byte-identical to [`RunSpec::run`].
 ///
-/// `sink`, if given, is attached as the machine's event tracer and a
+/// `rec`, if given, is attached as the machine's event recorder and a
 /// completed run hands it back detached. Tracing only observes and a
 /// slice bound never reorders events, so the result and the captured
 /// records equal [`RunSpec::run_traced`]'s.
+///
+/// # Panics
+///
+/// Panics if `slice` is zero.
 pub fn run_bounded(
     spec: &RunSpec,
-    sink: Option<Box<dyn TraceSink>>,
+    rec: Option<Recorder>,
     slice: u64,
     cancel: &AtomicBool,
     deadline: Option<Instant>,
     mut progress: impl FnMut(u64),
-) -> Result<(RunResult, Option<Box<dyn TraceSink>>), Stopped> {
-    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-    if cancel.load(Ordering::Relaxed) {
-        return Err(Stopped::Cancelled);
-    }
-    if expired() {
-        return Err(Stopped::DeadlineExceeded);
+) -> Result<(RunResult, Option<Recorder>), Stopped> {
+    assert!(slice > 0, "slice must be at least one cycle");
+    let stopped = || {
+        if cancel.load(Ordering::Relaxed) {
+            Some(Stopped::Cancelled)
+        } else if deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(Stopped::DeadlineExceeded)
+        } else {
+            None
+        }
+    };
+    if let Some(stop) = stopped() {
+        return Err(stop);
     }
     let mut sys = spec.build();
-    if let Some(sink) = sink {
-        sys.attach_tracer(sink);
+    if let Some(rec) = rec {
+        sys.attach_tracer(rec);
     }
     spec.arm(&mut sys);
-    // The engine only understands one stop flag, so compose both
-    // conditions into `halt` from inside the slice-boundary hook and
-    // remember which tripped first.
-    let halt = AtomicBool::new(false);
-    let mut deadline_hit = false;
-    let out = sys.run_cancellable(spec.max_cycles, slice, &halt, |cycle| {
-        progress(cycle);
-        if cancel.load(Ordering::Relaxed) {
-            halt.store(true, Ordering::Relaxed);
-        } else if expired() {
-            deadline_hit = true;
-            halt.store(true, Ordering::Relaxed);
+    let mut at = slice;
+    loop {
+        match sys.run_paused(spec.max_cycles, Some(at)) {
+            RunStatus::Completed(result) => return Ok((result, sys.detach_tracer())),
+            RunStatus::Paused { at: reached } => {
+                progress(reached);
+                if let Some(stop) = stopped() {
+                    return Err(stop);
+                }
+                at = reached.saturating_add(slice);
+            }
         }
-    });
-    match out {
-        Some(result) => Ok((result, sys.detach_tracer())),
-        None if deadline_hit => Err(Stopped::DeadlineExceeded),
-        None => Err(Stopped::Cancelled),
     }
 }
 

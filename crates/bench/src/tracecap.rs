@@ -24,7 +24,7 @@ use crate::runner::RunSpec;
 use crate::{ExpOptions, Scale};
 use pei_core::DispatchPolicy;
 use pei_system::RunResult;
-use pei_trace::{diff, Divergence, Recorder, Trace, TraceSink};
+use pei_trace::{diff, Divergence, Recorder, Trace};
 use pei_workloads::{InputSize, Workload};
 
 /// Trace-metadata name of a dispatch policy.
@@ -195,17 +195,17 @@ impl CaptureSpec {
         Ok(true)
     }
 
-    /// Writes this recipe into a sink's metadata table under `spec.*`
-    /// keys.
-    pub fn write_meta(&self, sink: &mut dyn TraceSink) {
-        sink.meta("spec.workload", self.workload.label());
-        sink.meta("spec.size", size_name(self.size));
-        sink.meta("spec.policy", policy_name(self.policy));
-        sink.meta("spec.scale", self.scale.name());
-        sink.meta("spec.paper", if self.paper_machine { "1" } else { "0" });
-        sink.meta("spec.seed", &self.seed.to_string());
+    /// Writes this recipe into a recorder's metadata table under
+    /// `spec.*` keys.
+    pub fn write_meta(&self, rec: &mut Recorder) {
+        rec.meta("spec.workload", self.workload.label());
+        rec.meta("spec.size", size_name(self.size));
+        rec.meta("spec.policy", policy_name(self.policy));
+        rec.meta("spec.scale", self.scale.name());
+        rec.meta("spec.paper", if self.paper_machine { "1" } else { "0" });
+        rec.meta("spec.seed", &self.seed.to_string());
         if let Some(b) = self.pei_budget {
-            sink.meta("spec.budget", &b.to_string());
+            rec.meta("spec.budget", &b.to_string());
         }
     }
 
@@ -266,21 +266,18 @@ impl CaptureSpec {
     /// and the run's full statistics report (under the `stats` key) so
     /// [`replay`] can verify byte-identity later.
     pub fn capture(&self) -> (RunResult, Trace) {
-        let (result, mut sink) = self.to_run_spec().run_traced(Box::new(Recorder::new()));
-        let bytes = self
-            .seal(&result, sink.as_mut())
-            .expect("a Recorder retains its capture");
-        let trace = Trace::from_bytes(&bytes).expect("a Recorder round-trips its own encoding");
+        let (result, mut rec) = self.to_run_spec().run_traced(Recorder::new());
+        let trace = self.seal(&result, &mut rec);
         (result, trace)
     }
 
     /// Writes this recipe and `result`'s statistics report (under the
-    /// `stats` key) into `sink`'s metadata and returns the encoded
-    /// `.petr` — `None` if the sink retains no capture.
-    pub fn seal(&self, result: &RunResult, sink: &mut dyn TraceSink) -> Option<Vec<u8>> {
-        self.write_meta(sink);
-        sink.meta("stats", &result.stats.to_string());
-        sink.to_petr()
+    /// `stats` key) into `rec`'s metadata and returns the finished
+    /// capture.
+    pub fn seal(&self, result: &RunResult, rec: &mut Recorder) -> Trace {
+        self.write_meta(rec);
+        rec.meta("stats", &result.stats.to_string());
+        rec.to_trace()
     }
 }
 
@@ -316,9 +313,8 @@ pub fn replay(t: &Trace) -> Result<Replay, String> {
         .meta_get("stats")
         .ok_or_else(|| "trace has no `stats` metadata (not a replayable capture)".to_string())?
         .to_string();
-    let (result, sink) = spec.to_run_spec().run_traced(Box::new(Recorder::new()));
-    let bytes = sink.to_petr().expect("a Recorder retains its capture");
-    let reexec = Trace::from_bytes(&bytes).expect("a Recorder round-trips its own encoding");
+    let (result, rec) = spec.to_run_spec().run_traced(Recorder::new());
+    let reexec = rec.to_trace();
     let stats_match = result.stats.to_string() == expected_stats;
     let divergence = diff(t, &reexec);
     Ok(Replay {
@@ -480,13 +476,13 @@ mod tests {
         };
         let mut rec = Recorder::new();
         spec.write_meta(&mut rec);
-        let t = Trace::from_bytes(&rec.to_petr().unwrap()).unwrap();
+        let t = Trace::from_bytes(&rec.to_trace().to_bytes()).unwrap();
         assert_eq!(CaptureSpec::from_trace(&t).unwrap(), spec);
     }
 
     #[test]
     fn unreplayable_trace_is_reported() {
-        let t = Trace::from_bytes(&Recorder::new().to_petr().unwrap()).unwrap();
+        let t = Recorder::new().to_trace();
         let err = CaptureSpec::from_trace(&t).unwrap_err();
         assert!(err.contains("spec.workload"), "{err}");
         assert!(replay(&t).is_err());

@@ -53,6 +53,23 @@ fn cases() -> Vec<(&'static str, Vec<String>, &'static str)> {
             vec!["--replay".into(), missing.clone()],
             "cannot load",
         ),
+        // One mode per invocation: conflicts are refused before any
+        // trace is read or written.
+        (
+            trace_capture,
+            args("--replay a.petr --export a.petr --perfetto out.json -o b.petr -w hj"),
+            "--replay and --export and -o can't be combined",
+        ),
+        (
+            trace_capture,
+            args("--export a.petr --perfetto out.json -o b.petr"),
+            "--export and -o can't be combined",
+        ),
+        (
+            trace_capture,
+            args("--replay a.petr --perfetto out.json"),
+            "--replay and --perfetto can't be combined",
+        ),
         (
             env!("CARGO_BIN_EXE_trace_diff"),
             vec![missing.clone(), missing],

@@ -45,7 +45,9 @@ fn capture_replay_is_byte_identical() {
     assert!(!trace.records.is_empty());
 
     // Through the full binary round trip, as the CLI tools would see it.
+    // The in-memory capture is exactly what a reload of its bytes gives.
     let reloaded = Trace::from_bytes(&trace.to_bytes()).expect("encoding round-trips");
+    assert_eq!(reloaded, trace);
     let replay = tracecap::replay(&reloaded).expect("capture carries a recipe");
     assert_eq!(replay.spec, spec);
     assert!(replay.stats_match, "replayed stats diverged");

@@ -12,7 +12,7 @@
 //!   executes offloaded PEIs.
 
 use crate::ops;
-use pei_engine::{ClockDomain, CounterId, Counters, FastMap, OccupancyPool, Outbox, StatsReport};
+use pei_engine::{ClockDomain, CounterId, Counters, FastMap, OccupancyPool, StatsReport};
 use pei_mem::msg::CoreReq;
 use pei_mem::BackingStore;
 use pei_types::mem::ns;
@@ -164,7 +164,7 @@ impl HostPcu {
         op: PimOpKind,
         target: Addr,
         input: OperandValue,
-        out: &mut Outbox<HostPcuOut>,
+        out: &mut Vec<HostPcuOut>,
     ) -> ReqId {
         self.next_local += 1;
         self.occupied += 1;
@@ -190,7 +190,7 @@ impl HostPcu {
 
     /// The PMU decided host-side execution: load the target block through
     /// the L1 (§4.5 step 3).
-    pub fn on_decision_host(&mut self, now: Cycle, id: ReqId, out: &mut Outbox<HostPcuOut>) {
+    pub fn on_decision_host(&mut self, now: Cycle, id: ReqId, out: &mut Vec<HostPcuOut>) {
         let task = self.tasks.get(&id).expect("unknown host PEI");
         out.push(HostPcuOut::L1Access {
             req: CoreReq {
@@ -208,7 +208,7 @@ impl HostPcu {
         now: Cycle,
         id: ReqId,
         mem: &mut BackingStore,
-        out: &mut Outbox<HostPcuOut>,
+        out: &mut Vec<HostPcuOut>,
     ) {
         let task = self.tasks.remove(&id).expect("unknown host PEI");
         self.occupied -= 1;
@@ -233,7 +233,7 @@ impl HostPcu {
 
     /// The PMU dispatched this PEI to memory: the operand-buffer entry is
     /// handed to the PMU/memory side, freeing the core's credit now.
-    pub fn on_dispatched_mem(&mut self, now: Cycle, id: ReqId, out: &mut Outbox<HostPcuOut>) {
+    pub fn on_dispatched_mem(&mut self, now: Cycle, id: ReqId, out: &mut Vec<HostPcuOut>) {
         let task = self.tasks.get(&id).expect("unknown host PEI");
         self.occupied -= 1;
         out.push(HostPcuOut::CreditToCore {
@@ -249,7 +249,7 @@ impl HostPcu {
         now: Cycle,
         id: ReqId,
         output: OperandValue,
-        out: &mut Outbox<HostPcuOut>,
+        out: &mut Vec<HostPcuOut>,
     ) {
         let task = self.tasks.remove(&id).expect("unknown host PEI");
         self.counters.inc(self.c.mem_execs);
@@ -418,7 +418,7 @@ impl MemPcu {
 
     /// Accepts a PIM command from the off-chip link. If the operand buffer
     /// is full the command waits in the vault's input queue.
-    pub fn on_cmd(&mut self, now: Cycle, cmd: PimCmd, out: &mut Outbox<MemPcuOut>) {
+    pub fn on_cmd(&mut self, now: Cycle, cmd: PimCmd, out: &mut Vec<MemPcuOut>) {
         if self.tasks.len() >= self.cfg.operand_entries {
             self.waiting.push_back(cmd);
             return;
@@ -426,7 +426,7 @@ impl MemPcu {
         self.start(now, cmd, out);
     }
 
-    fn start(&mut self, now: Cycle, cmd: PimCmd, out: &mut Outbox<MemPcuOut>) {
+    fn start(&mut self, now: Cycle, cmd: PimCmd, out: &mut Vec<MemPcuOut>) {
         let id = self.fresh_id();
         let block = cmd.block();
         self.tasks.insert(id, MemTask { cmd, wrote: false });
@@ -446,7 +446,7 @@ impl MemPcu {
         id: ReqId,
         write: bool,
         mem: &mut BackingStore,
-        out: &mut Outbox<MemPcuOut>,
+        out: &mut Vec<MemPcuOut>,
     ) {
         if write {
             // Write-back half finished: the PEI is complete.
@@ -494,7 +494,7 @@ impl MemPcu {
         task: MemTask,
         mem: &mut BackingStore,
         _was_write: bool,
-        out: &mut Outbox<MemPcuOut>,
+        out: &mut Vec<MemPcuOut>,
     ) {
         self.counters.inc(self.c.executed);
         let output = ops::apply(task.cmd.op, task.cmd.target, &task.cmd.input, mem);
@@ -540,7 +540,7 @@ mod tests {
         let target = mem.alloc_block();
         mem.write_u64(target, 5);
         let mut pcu = HostPcu::new(CoreId(0), PcuConfig::paper());
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         let id = pcu.begin(
             0,
             0,
@@ -577,7 +577,7 @@ mod tests {
         let mut mem = BackingStore::new();
         let target = mem.alloc_block();
         let mut pcu = HostPcu::new(CoreId(0), PcuConfig::paper());
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         let id = pcu.begin(
             0,
             0,
@@ -597,7 +597,7 @@ mod tests {
     #[test]
     fn host_pcu_mem_result_completes_without_l1() {
         let mut pcu = HostPcu::new(CoreId(0), PcuConfig::paper());
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         let id = pcu.begin(
             0,
             7,
@@ -621,7 +621,7 @@ mod tests {
         let t1 = mem.alloc_block();
         let t2 = mem.alloc_block();
         let mut pcu = HostPcu::new(CoreId(0), PcuConfig::paper());
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         let a = pcu.begin(
             0,
             0,
@@ -659,7 +659,7 @@ mod tests {
         mem.write_u64(target, 33);
         let clk = ClockDomain::new(2, 4.0);
         let mut pcu = MemPcu::new(0, PcuConfig::paper(), clk);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         pcu.on_cmd(
             1,
             PimCmd {
@@ -698,7 +698,7 @@ mod tests {
         let target = mem.alloc_block();
         let clk = ClockDomain::new(2, 4.0);
         let mut pcu = MemPcu::new(0, PcuConfig::paper(), clk);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         pcu.on_cmd(
             0,
             PimCmd {
@@ -734,7 +734,7 @@ mod tests {
         let mut mem = BackingStore::new();
         let clk = ClockDomain::new(2, 4.0);
         let mut pcu = MemPcu::new(0, PcuConfig::paper(), clk);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         let mut blocks = Vec::new();
         for _ in 0..6 {
             blocks.push(mem.alloc_block().block());

@@ -10,7 +10,7 @@
 use crate::directory::{AcquireResult, PimDirectory};
 use crate::dispatch::{balanced_choice, DispatchPolicy};
 use crate::monitor::LocalityMonitor;
-use pei_engine::{CounterId, Counters, FastMap, Outbox, StatsReport};
+use pei_engine::{CounterId, Counters, FastMap, StatsReport};
 use pei_mem::msg::PimFlush;
 use pei_types::{Addr, BlockAddr, CoreId, Cycle, OperandValue, PimCmd, PimOpKind, PimOut, ReqId};
 
@@ -257,13 +257,7 @@ impl Pmu {
 
     /// Processes one PMU input. `balance` is the HMC controller's current
     /// `(C_req, C_res)` sample, used by balanced dispatch.
-    pub fn handle(
-        &mut self,
-        now: Cycle,
-        input: PmuIn,
-        balance: (u64, u64),
-        out: &mut Outbox<PmuOut>,
-    ) {
+    pub fn handle(&mut self, now: Cycle, input: PmuIn, balance: (u64, u64), out: &mut Vec<PmuOut>) {
         match input {
             PmuIn::Request {
                 id,
@@ -330,7 +324,7 @@ impl Pmu {
         }
     }
 
-    fn decide(&mut self, now: Cycle, id: ReqId, balance: (u64, u64), out: &mut Outbox<PmuOut>) {
+    fn decide(&mut self, now: Cycle, id: ReqId, balance: (u64, u64), out: &mut Vec<PmuOut>) {
         let (op, target, core) = {
             let txn = self.txns.get(&id).expect("deciding unknown PEI");
             (txn.op, txn.target, txn.core)
@@ -400,7 +394,7 @@ impl Pmu {
         }
     }
 
-    fn release(&mut self, now: Cycle, id: ReqId, balance: (u64, u64), out: &mut Outbox<PmuOut>) {
+    fn release(&mut self, now: Cycle, id: ReqId, balance: (u64, u64), out: &mut Vec<PmuOut>) {
         let txn = self.txns.remove(&id).expect("release of unknown PEI");
         if txn.writer {
             self.outstanding_writers -= 1;
@@ -501,7 +495,7 @@ mod tests {
     #[test]
     fn host_only_always_decides_host() {
         let mut p = pmu(DispatchPolicy::HostOnly);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.handle(0, request(1, PimOpKind::MinU64, 0x40), (0, 0), &mut out);
         assert!(matches!(out[0], PmuOut::DecideHost { .. }));
         assert_eq!(p.dispatch_counts(), (1, 0));
@@ -510,7 +504,7 @@ mod tests {
     #[test]
     fn pim_only_flushes_then_launches() {
         let mut p = pmu(DispatchPolicy::PimOnly);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.handle(0, request(1, PimOpKind::MinU64, 0x40), (0, 0), &mut out);
         assert!(
             matches!(out[0], PmuOut::DispatchedMem { .. }),
@@ -547,7 +541,7 @@ mod tests {
     #[test]
     fn reader_pei_uses_back_writeback() {
         let mut p = pmu(DispatchPolicy::PimOnly);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.handle(0, request(1, PimOpKind::HashProbe, 0x40), (0, 0), &mut out);
         match &out[1] {
             PmuOut::Flush { flush, .. } => assert!(!flush.invalidate),
@@ -558,7 +552,7 @@ mod tests {
     #[test]
     fn locality_aware_uses_monitor() {
         let mut p = pmu(DispatchPolicy::LocalityAware);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         // Cold block: goes to memory.
         p.handle(0, request(1, PimOpKind::MinU64, 0x40), (0, 0), &mut out);
         assert!(out.iter().any(|o| matches!(o, PmuOut::Flush { .. })));
@@ -572,7 +566,7 @@ mod tests {
     #[test]
     fn pim_allocated_monitor_entry_needs_two_touches() {
         let mut p = pmu(DispatchPolicy::LocalityAware);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         // Same block, three PEIs in sequence (completing in between).
         for (i, expect_mem) in [(1u64, true), (2, true), (3, false)] {
             out.clear();
@@ -617,7 +611,7 @@ mod tests {
     #[test]
     fn atomicity_serializes_same_block_writers() {
         let mut p = pmu(DispatchPolicy::HostOnly);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.handle(0, request(1, PimOpKind::AddF64, 0x40), (0, 0), &mut out);
         p.handle(0, request(2, PimOpKind::AddF64, 0x40), (0, 0), &mut out);
         // Only the first got a decision.
@@ -638,7 +632,7 @@ mod tests {
     #[test]
     fn pfence_waits_for_outstanding_writers() {
         let mut p = pmu(DispatchPolicy::HostOnly);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.handle(0, request(1, PimOpKind::IncU64, 0x40), (0, 0), &mut out);
         out.clear();
         p.handle(5, PmuIn::Pfence { core: CoreId(3) }, (0, 0), &mut out);
@@ -656,7 +650,7 @@ mod tests {
     #[test]
     fn pfence_ignores_readers() {
         let mut p = pmu(DispatchPolicy::HostOnly);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         p.handle(0, request(1, PimOpKind::HashProbe, 0x40), (0, 0), &mut out);
         out.clear();
         p.handle(5, PmuIn::Pfence { core: CoreId(0) }, (0, 0), &mut out);
@@ -669,7 +663,7 @@ mod tests {
     #[test]
     fn balanced_dispatch_overrides_on_request_pressure() {
         let mut p = pmu(DispatchPolicy::LocalityAwareBalanced);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         // Cold blocks, request channel saturated: SC's 80-byte PIM
         // requests should be overridden to host execution — dithered
         // 1-in-2, so two misses produce exactly one override.

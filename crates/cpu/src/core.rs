@@ -9,7 +9,7 @@
 
 use crate::tlb::{PageMap, Tlb, PAGE_SHIFT};
 use crate::trace::Op;
-use pei_engine::{CounterId, Counters, Outbox};
+use pei_engine::{CounterId, Counters};
 use pei_types::mem::ns;
 use pei_types::{Addr, CoreId, Cycle, OperandValue, PimOpKind, ReqId};
 use std::collections::VecDeque;
@@ -95,7 +95,7 @@ pub enum CoreStatus {
 }
 
 /// Result of one [`Core::tick`]. Emitted messages land in the caller's
-/// outbox; the outcome only carries scheduling information.
+/// output buffer; the outcome only carries scheduling information.
 #[derive(Debug)]
 pub struct TickOutcome {
     /// Next cycle to tick this core, if it can make progress on its own.
@@ -306,8 +306,8 @@ impl Core {
     }
 
     /// Issues up to one cycle's worth of instructions at `now`, pushing
-    /// emitted messages into `out` (the caller's reusable outbox).
-    pub fn tick(&mut self, now: Cycle, out: &mut Outbox<CoreOut>) -> TickOutcome {
+    /// emitted messages into `out` (the caller's reusable buffer).
+    pub fn tick(&mut self, now: Cycle, out: &mut Vec<CoreOut>) -> TickOutcome {
         let mut slots = self.cfg.issue_width;
         let mut blocked = false;
 
@@ -510,15 +510,15 @@ mod tests {
         Core::new(CoreId(0), CoreConfig::paper())
     }
 
-    /// Test adapter: tick with a fresh outbox, returning outcome + outs.
+    /// Test adapter: tick with a fresh buffer, returning outcome + outs.
     struct TickRes {
-        outs: Outbox<CoreOut>,
+        outs: Vec<CoreOut>,
         next: Option<Cycle>,
         status: CoreStatus,
     }
 
     fn tick(c: &mut Core, now: Cycle) -> TickRes {
-        let mut outs = Outbox::new();
+        let mut outs = Vec::new();
         let o = c.tick(now, &mut outs);
         TickRes {
             outs,

@@ -14,12 +14,11 @@
 //! ```
 //! use pei_cpu::trace::Op;
 //! use pei_cpu::core::{Core, CoreConfig, CoreEvent};
-//! use pei_engine::Outbox;
 //! use pei_types::{Addr, CoreId};
 //!
 //! let mut core = Core::new(CoreId(0), CoreConfig::paper());
 //! core.push_ops(vec![Op::Compute(8), Op::load(Addr(0x40))]);
-//! let mut outs = Outbox::new();
+//! let mut outs = Vec::new();
 //! let outcome = core.tick(0, &mut outs);
 //! assert!(!outs.is_empty() || outcome.next.is_some());
 //! ```

@@ -4,7 +4,6 @@
 
 use pei_cpu::core::{Core, CoreConfig, CoreEvent, CoreOut, CoreStatus};
 use pei_cpu::trace::Op;
-use pei_engine::Outbox;
 use pei_types::{Addr, CoreId, OperandValue, PimOpKind};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -41,7 +40,7 @@ proptest! {
         core.push_ops(ops);
 
         let mut now = 0u64;
-        let mut outs = Outbox::new();
+        let mut outs = Vec::new();
         let mut inflight_mem = VecDeque::new();
         let mut inflight_pei = VecDeque::new();
         let mut fence_pending = false;
@@ -52,7 +51,7 @@ proptest! {
             outs.clear();
             let outcome = core.tick(now, &mut outs);
             prop_assert!(outs.len() <= 4 + 1, "more outs than issue width");
-            for out in outs.drain() {
+            for out in outs.drain(..) {
                 match out {
                     CoreOut::Mem { id, .. } => inflight_mem.push_back(id),
                     CoreOut::Pei { seq, .. } => inflight_pei.push_back(seq),
@@ -95,14 +94,14 @@ proptest! {
             let mut core = Core::new(CoreId(0), CoreConfig::paper());
             core.push_ops(ops);
             let mut now = 0;
-            let mut outs = Outbox::new();
+            let mut outs = Vec::new();
             let mut mem = VecDeque::new();
             let mut pei = VecDeque::new();
             let mut fence = false;
             loop {
                 outs.clear();
                 let o = core.tick(now, &mut outs);
-                for out in outs.drain() {
+                for out in outs.drain(..) {
                     match out {
                         CoreOut::Mem { id, .. } => mem.push_back(id),
                         CoreOut::Pei { seq, .. } => pei.push_back(seq),

@@ -29,7 +29,6 @@ pub mod channel;
 pub mod clock;
 pub mod counters;
 pub mod fxhash;
-pub mod outbox;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -38,7 +37,6 @@ pub use channel::{BwChannel, Occupancy, OccupancyPool};
 pub use clock::ClockDomain;
 pub use counters::{CounterId, Counters};
 pub use fxhash::{FastMap, FastSet, FxHasher};
-pub use outbox::Outbox;
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::StatsReport;

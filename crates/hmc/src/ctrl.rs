@@ -3,7 +3,7 @@
 //! balanced dispatch (§7.4).
 
 use crate::config::HmcConfig;
-use pei_engine::{BwChannel, CounterId, Counters, Outbox, StatsReport};
+use pei_engine::{BwChannel, CounterId, Counters, StatsReport};
 use pei_types::ids::VaultLoc;
 use pei_types::packet::PacketKind;
 use pei_types::{BlockAddr, Cycle, FlitCount, PimCmd, PimOut, ReqId, FLIT_BYTES};
@@ -145,7 +145,7 @@ impl BalanceCounters {
 ///
 /// let cfg = HmcConfig::scaled();
 /// let mut ctrl = HmcController::new(&cfg);
-/// let mut out = pei_engine::Outbox::new();
+/// let mut out = Vec::new();
 /// ctrl.handle_host(0, CtrlIn::Read { id: ReqId(1), block: BlockAddr(0) }, &mut out);
 /// assert!(matches!(out[0], pei_hmc::CtrlOut::ToVault { .. }));
 /// ```
@@ -227,7 +227,7 @@ impl HmcController {
     }
 
     /// Handles a host-side input (from L3 banks or the PMU).
-    pub fn handle_host(&mut self, now: Cycle, input: CtrlIn, out: &mut Outbox<CtrlOut>) {
+    pub fn handle_host(&mut self, now: Cycle, input: CtrlIn, out: &mut Vec<CtrlOut>) {
         match input {
             CtrlIn::Read { id, block } => {
                 self.counters.inc(self.c.reads);
@@ -271,7 +271,7 @@ impl HmcController {
     }
 
     /// Handles a memory-side completion arriving on the response link.
-    pub fn handle_mem_side(&mut self, now: Cycle, input: MemSideIn, out: &mut Outbox<CtrlOut>) {
+    pub fn handle_mem_side(&mut self, now: Cycle, input: MemSideIn, out: &mut Vec<CtrlOut>) {
         match input {
             MemSideIn::ReadDone { id, block, cube } => {
                 self.counters.inc(self.c.read_resps);
@@ -357,7 +357,7 @@ mod tests {
     #[test]
     fn read_costs_16_req_80_res_bytes() {
         let mut c = ctrl();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         c.handle_host(
             0,
             CtrlIn::Read {
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn write_costs_80_req_bytes() {
         let mut c = ctrl();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         c.handle_host(
             0,
             CtrlIn::Write {
@@ -400,7 +400,7 @@ mod tests {
     fn pim_add_costs_32_req_16_res_bytes() {
         // §2.2: memory-side addition sends only the 8-byte delta.
         let mut c = ctrl();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         c.handle_host(
             0,
             CtrlIn::Pim {
@@ -434,7 +434,7 @@ mod tests {
     fn routes_to_correct_vault() {
         let cfg = HmcConfig::scaled();
         let mut c = HmcController::new(&cfg);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         let block = BlockAddr(0b10_0101);
         c.handle_host(
             0,
@@ -469,7 +469,7 @@ mod tests {
     #[test]
     fn link_serializes_heavy_traffic() {
         let mut c = ctrl();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         // Many back-to-back writes (80 B each at 10 B/cycle = 8 cycles each).
         for i in 0..10 {
             c.handle_host(

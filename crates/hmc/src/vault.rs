@@ -2,7 +2,7 @@
 //! logic die (FR-FCFS, open page) and TSV vertical link.
 
 use crate::config::{HmcConfig, PagePolicy};
-use pei_engine::{BwChannel, CounterId, Counters, Outbox, StatsReport};
+use pei_engine::{BwChannel, CounterId, Counters, StatsReport};
 use pei_types::{BlockAddr, Cycle, ReqId, BLOCK_BYTES};
 use std::collections::VecDeque;
 
@@ -139,7 +139,7 @@ impl Vault {
     }
 
     /// Enqueues an access and starts bank work if possible.
-    pub fn handle_access(&mut self, now: Cycle, req: VaultIn, out: &mut Outbox<VaultOut>) {
+    pub fn handle_access(&mut self, now: Cycle, req: VaultIn, out: &mut Vec<VaultOut>) {
         let (_loc, bank, row) = self.cfg.route(req.block);
         self.banks[bank.index()]
             .queue
@@ -148,7 +148,7 @@ impl Vault {
     }
 
     /// Wakeup: scan banks for startable work.
-    pub fn wake(&mut self, now: Cycle, out: &mut Outbox<VaultOut>) {
+    pub fn wake(&mut self, now: Cycle, out: &mut Vec<VaultOut>) {
         for b in 0..self.banks.len() {
             // This wake consumes any outstanding wakeup scheduled at or
             // before `now`.
@@ -159,7 +159,7 @@ impl Vault {
         }
     }
 
-    fn try_start(&mut self, bank_idx: usize, now: Cycle, out: &mut Outbox<VaultOut>) {
+    fn try_start(&mut self, bank_idx: usize, now: Cycle, out: &mut Vec<VaultOut>) {
         if self.wedged {
             return;
         }
@@ -284,12 +284,12 @@ mod tests {
         // Tiny event loop for the vault alone.
         let mut done = Vec::new();
         let mut wakes: Vec<Cycle> = Vec::new();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         for &(t, r) in reqs {
             v.handle_access(t, r, &mut out);
         }
         loop {
-            for o in out.drain() {
+            for o in out.drain(..) {
                 match o {
                     VaultOut::Done { id, at, .. } => done.push((id, at)),
                     VaultOut::Wake { at } => wakes.push(at),

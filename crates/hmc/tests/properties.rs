@@ -11,7 +11,7 @@ use proptest::prelude::*;
 fn drive(v: &mut Vault, reqs: &[(u64, VaultIn)]) -> Vec<(ReqId, u64)> {
     let mut done = Vec::new();
     let mut wakes: Vec<u64> = Vec::new();
-    let mut out = pei_engine::Outbox::new();
+    let mut out = Vec::new();
     for &(t, r) in reqs {
         v.handle_access(t, r, &mut out);
     }
@@ -19,7 +19,7 @@ fn drive(v: &mut Vault, reqs: &[(u64, VaultIn)]) -> Vec<(ReqId, u64)> {
     loop {
         guard += 1;
         assert!(guard < 1_000_000, "vault drain did not converge");
-        for o in out.drain() {
+        for o in out.drain(..) {
             match o {
                 VaultOut::Done { id, at, .. } => done.push((id, at)),
                 VaultOut::Wake { at } => wakes.push(at),
@@ -118,7 +118,7 @@ proptest! {
     fn controller_conserves_flits(ops in proptest::collection::vec((0u64..10_000, any::<bool>()), 1..50)) {
         let cfg = HmcConfig::scaled();
         let mut ctrl = HmcController::new(&cfg);
-        let mut out = pei_engine::Outbox::new();
+        let mut out = Vec::new();
         let mut expect_req = 0u64;
         for &(blk, write) in &ops {
             if write {

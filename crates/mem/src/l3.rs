@@ -14,7 +14,7 @@ use crate::msg::{
     Grant, L3Req, L3ReqKind, L3Resp, MemFetch, MemFetchDone, PimFlush, PimFlushDone, Recall,
     RecallAck, RecallOp,
 };
-use pei_engine::{CounterId, Counters, FastMap, Occupancy, Outbox, StatsReport};
+use pei_engine::{CounterId, Counters, FastMap, Occupancy, StatsReport};
 use pei_types::{BlockAddr, Cycle, L3BankId, ReqId};
 use std::collections::VecDeque;
 
@@ -172,7 +172,7 @@ impl L3Bank {
     }
 
     /// Processes one input message, pushing outputs into `out`.
-    pub fn handle(&mut self, now: Cycle, input: L3In, out: &mut Outbox<L3Out>) {
+    pub fn handle(&mut self, now: Cycle, input: L3In, out: &mut Vec<L3Out>) {
         match input {
             L3In::Req(req) => self.on_req(now, req, out),
             L3In::Ack(ack) => self.on_ack(now, ack, out),
@@ -181,7 +181,7 @@ impl L3Bank {
         }
     }
 
-    fn on_req(&mut self, now: Cycle, req: L3Req, out: &mut Outbox<L3Out>) {
+    fn on_req(&mut self, now: Cycle, req: L3Req, out: &mut Vec<L3Out>) {
         // Victim notices never block: they carry no response and must not
         // deadlock behind a transaction that is recalling their sender.
         if matches!(req.kind, L3ReqKind::PutS | L3ReqKind::PutM) {
@@ -215,7 +215,7 @@ impl L3Bank {
         // the victim notice; nothing to do (the recall already handled it).
     }
 
-    fn on_hit(&mut self, start: Cycle, req: L3Req, way: usize, out: &mut Outbox<L3Out>) {
+    fn on_hit(&mut self, start: Cycle, req: L3Req, way: usize, out: &mut Vec<L3Out>) {
         self.counters.inc(self.c.hits);
         let line = self.array.line_at_mut(req.block, way);
         // The recall set is a presence mask plus an op: iterating the mask
@@ -267,7 +267,7 @@ impl L3Bank {
 
     /// Updates directory state and emits the grant for a request whose
     /// recalls (if any) are complete. The line must be present in `way`.
-    fn grant(&mut self, at: Cycle, req: L3Req, way: usize, out: &mut Outbox<L3Out>) {
+    fn grant(&mut self, at: Cycle, req: L3Req, way: usize, out: &mut Vec<L3Out>) {
         let line = self.array.line_at_mut(req.block, way);
         let grant = match req.kind {
             L3ReqKind::GetS => {
@@ -305,7 +305,7 @@ impl L3Bank {
         });
     }
 
-    fn on_miss(&mut self, start: Cycle, req: L3Req, out: &mut Outbox<L3Out>) {
+    fn on_miss(&mut self, start: Cycle, req: L3Req, out: &mut Vec<L3Out>) {
         if self.txns.len() >= self.txn_cap {
             self.overflow.push_back(L3In::Req(req));
             return;
@@ -367,7 +367,7 @@ impl L3Bank {
         }
     }
 
-    fn start_fetch(&mut self, start: Cycle, req: L3Req, out: &mut Outbox<L3Out>) {
+    fn start_fetch(&mut self, start: Cycle, req: L3Req, out: &mut Vec<L3Out>) {
         let id = self.fetch_id();
         self.txns.insert(
             req.block,
@@ -389,7 +389,7 @@ impl L3Bank {
         });
     }
 
-    fn writeback(&mut self, at: Cycle, block: BlockAddr, out: &mut Outbox<L3Out>) {
+    fn writeback(&mut self, at: Cycle, block: BlockAddr, out: &mut Vec<L3Out>) {
         self.counters.inc(self.c.writebacks);
         let id = self.fetch_id();
         out.push(L3Out::Fetch {
@@ -402,7 +402,7 @@ impl L3Bank {
         });
     }
 
-    fn on_flush(&mut self, now: Cycle, flush: PimFlush, out: &mut Outbox<L3Out>) {
+    fn on_flush(&mut self, now: Cycle, flush: PimFlush, out: &mut Vec<L3Out>) {
         if let Some(txn) = self.txns.get_mut(&flush.block) {
             txn.deferred.push_back(L3In::Flush(flush));
             return;
@@ -477,7 +477,7 @@ impl L3Bank {
         (block, way): (BlockAddr, usize),
         invalidate: bool,
         dirty_seen: bool,
-        out: &mut Outbox<L3Out>,
+        out: &mut Vec<L3Out>,
     ) {
         let dirty = {
             let line = self.array.line_at_mut(block, way);
@@ -502,7 +502,7 @@ impl L3Bank {
         });
     }
 
-    fn on_ack(&mut self, now: Cycle, ack: RecallAck, out: &mut Outbox<L3Out>) {
+    fn on_ack(&mut self, now: Cycle, ack: RecallAck, out: &mut Vec<L3Out>) {
         // A fill's recalls target its *victim*, which has left the array,
         // so no grant or flush can be keyed by that block, but a later
         // fill for the very same block can be: ask the victim index first.
@@ -555,7 +555,7 @@ impl L3Bank {
         self.drain_deferred(now, txn.deferred, out);
     }
 
-    fn on_fetch_done(&mut self, now: Cycle, done: MemFetchDone, out: &mut Outbox<L3Out>) {
+    fn on_fetch_done(&mut self, now: Cycle, done: MemFetchDone, out: &mut Vec<L3Out>) {
         let Some(txn) = self.txns.remove(&done.block) else {
             return; // writeback completions carry no transaction
         };
@@ -568,7 +568,7 @@ impl L3Bank {
         self.drain_deferred(now, txn.deferred, out);
     }
 
-    fn drain_deferred(&mut self, now: Cycle, deferred: VecDeque<L3In>, out: &mut Outbox<L3Out>) {
+    fn drain_deferred(&mut self, now: Cycle, deferred: VecDeque<L3In>, out: &mut Vec<L3Out>) {
         for item in deferred {
             self.handle(now, item, out);
         }
@@ -696,8 +696,8 @@ mod tests {
     }
 
     /// Runs a request through the miss path to a settled grant.
-    fn warm(bank: &mut L3Bank, input: L3In) -> Outbox<L3Out> {
-        let mut out = Outbox::new();
+    fn warm(bank: &mut L3Bank, input: L3In) -> Vec<L3Out> {
+        let mut out = Vec::new();
         bank.handle(0, input, &mut out);
         if out
             .iter()
@@ -713,7 +713,7 @@ mod tests {
     #[test]
     fn cold_miss_fetches_then_grants_exclusive() {
         let mut b = bank();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         b.handle(0, gets(1, 0, 4), &mut out);
         assert!(matches!(out[0], L3Out::Fetch { .. }));
         let done = fetch_done_for(&out);
@@ -734,7 +734,7 @@ mod tests {
     fn second_reader_downgrades_owner() {
         let mut b = bank();
         warm(&mut b, gets(1, 0, 4));
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         b.handle(200, gets(2, 1, 4), &mut out);
         // Owner (core 0) gets a downgrade recall.
         match out[0] {
@@ -768,7 +768,7 @@ mod tests {
         let mut b = bank();
         warm(&mut b, gets(1, 0, 4));
         // Second reader: downgrade owner, then grant.
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         b.handle(200, gets(2, 1, 4), &mut out);
         b.handle(
             210,
@@ -817,7 +817,7 @@ mod tests {
     #[test]
     fn same_block_requests_serialize() {
         let mut b = bank();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         b.handle(0, gets(1, 0, 4), &mut out);
         let done = fetch_done_for(&out);
         // Second request arrives mid-fill: must be deferred, not re-fetched.
@@ -840,7 +840,7 @@ mod tests {
     fn put_m_marks_dirty_and_clears_presence() {
         let mut b = bank();
         warm(&mut b, getm(1, 0, 4));
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         b.handle(
             200,
             L3In::Req(L3Req {
@@ -858,7 +858,7 @@ mod tests {
     #[test]
     fn flush_absent_block_completes_immediately() {
         let mut b = bank();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         b.handle(
             0,
             L3In::Flush(PimFlush {
@@ -881,7 +881,7 @@ mod tests {
     fn flush_invalidate_recalls_owner_and_writes_back() {
         let mut b = bank();
         warm(&mut b, getm(1, 0, 4));
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         b.handle(
             200,
             L3In::Flush(PimFlush {
@@ -916,7 +916,7 @@ mod tests {
     fn flush_writeback_keeps_clean_copies() {
         let mut b = bank();
         warm(&mut b, getm(1, 0, 4));
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         b.handle(
             200,
             L3In::Flush(PimFlush {
@@ -960,7 +960,7 @@ mod tests {
         warm(&mut b, gets(1, 0, 0));
         warm(&mut b, gets(2, 0, 1));
         // Third block forces eviction of LRU block 0, held by core 0.
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         b.handle(500, gets(3, 1, 2), &mut out);
         assert!(
             out.iter().any(|o| matches!(o, L3Out::Recall { recall, .. }
@@ -1010,7 +1010,7 @@ mod tests {
                 was_present: true,
             })
         };
-        let fetches = |out: &Outbox<L3Out>| -> Vec<BlockAddr> {
+        let fetches = |out: &Vec<L3Out>| -> Vec<BlockAddr> {
             out.iter()
                 .filter_map(|o| match o {
                     L3Out::Fetch { fetch, .. } if !fetch.write => Some(fetch.block),
@@ -1021,7 +1021,7 @@ mod tests {
         // Block 0 shared by cores 0 and 1; block 1, more recent, owned by
         // core 2.
         warm(&mut b, gets(1, 0, 0));
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         b.handle(200, gets(2, 1, 0), &mut out);
         b.handle(210, ack(0, 0), &mut out);
         assert_eq!(b.dir_state(BlockAddr(0)), (true, 2, None));

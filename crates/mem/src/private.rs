@@ -13,7 +13,7 @@ use crate::config::MemHierarchyConfig;
 use crate::msg::{CoreReq, L3Req, L3ReqKind, L3Resp, Recall, RecallAck, RecallOp};
 use crate::mshr::MshrFile;
 use crate::mshr::Waiter;
-use pei_engine::{CounterId, Counters, Occupancy, Outbox, StatsReport};
+use pei_engine::{CounterId, Counters, Occupancy, StatsReport};
 use pei_types::{BlockAddr, CoreId, Cycle};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -55,7 +55,7 @@ pub enum PrivOut {
 ///
 /// let cfg = MemHierarchyConfig::scaled();
 /// let mut cache = PrivateCache::new(CoreId(0), &cfg);
-/// let mut out = pei_engine::Outbox::new();
+/// let mut out = Vec::new();
 /// cache.handle_core_req(0, CoreReq { id: ReqId(1), addr: Addr(0x40), write: false }, &mut out);
 /// // Cold miss: the request goes to the L3.
 /// assert!(matches!(out[0], pei_mem::private::PrivOut::ToL3 { .. }));
@@ -141,12 +141,12 @@ impl PrivateCache {
     }
 
     /// Handles a memory request from the core or its host-side PCU.
-    pub fn handle_core_req(&mut self, now: Cycle, req: CoreReq, out: &mut Outbox<PrivOut>) {
+    pub fn handle_core_req(&mut self, now: Cycle, req: CoreReq, out: &mut Vec<PrivOut>) {
         let start = self.port.reserve(now, 1);
         self.access(start, req, out);
     }
 
-    fn access(&mut self, start: Cycle, req: CoreReq, out: &mut Outbox<PrivOut>) {
+    fn access(&mut self, start: Cycle, req: CoreReq, out: &mut Vec<PrivOut>) {
         let block = req.addr.block();
         // One probe per array: the L2 (authoritative for permission), then
         // the L1 only on a permitted hit.
@@ -198,7 +198,7 @@ impl PrivateCache {
         });
     }
 
-    fn miss(&mut self, start: Cycle, req: CoreReq, kind: L3ReqKind, out: &mut Outbox<PrivOut>) {
+    fn miss(&mut self, start: Cycle, req: CoreReq, kind: L3ReqKind, out: &mut Vec<PrivOut>) {
         let block = req.addr.block();
         if self.mshr.contains(block) {
             self.mshr.merge(block, req.id, req.write);
@@ -234,7 +234,7 @@ impl PrivateCache {
     }
 
     /// Handles a fill/grant from the L3.
-    pub fn handle_l3_resp(&mut self, now: Cycle, resp: L3Resp, out: &mut Outbox<PrivOut>) {
+    pub fn handle_l3_resp(&mut self, now: Cycle, resp: L3Resp, out: &mut Vec<PrivOut>) {
         let entry = self
             .mshr
             .retire(resp.block)
@@ -348,7 +348,7 @@ impl PrivateCache {
     }
 
     /// Handles a coherence recall (invalidate/downgrade) from the L3.
-    pub fn handle_recall(&mut self, now: Cycle, recall: Recall, out: &mut Outbox<PrivOut>) {
+    pub fn handle_recall(&mut self, now: Cycle, recall: Recall, out: &mut Vec<PrivOut>) {
         self.counters.inc(self.c.recalls_seen);
         let start = self.port.reserve(now, 1);
         let (dirty, was_present) = match self.l2.lookup(recall.block) {
@@ -498,7 +498,7 @@ mod tests {
         }
     }
 
-    fn grant(c: &mut PrivateCache, id: u64, block: u64, g: Grant, out: &mut Outbox<PrivOut>) {
+    fn grant(c: &mut PrivateCache, id: u64, block: u64, g: Grant, out: &mut Vec<PrivOut>) {
         c.handle_l3_resp(
             100,
             L3Resp {
@@ -514,7 +514,7 @@ mod tests {
     #[test]
     fn cold_miss_then_hit() {
         let mut c = cache();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         c.handle_core_req(0, read(1, 0x40), &mut out);
         assert!(matches!(
             out[0],
@@ -542,7 +542,7 @@ mod tests {
     #[test]
     fn same_block_misses_merge() {
         let mut c = cache();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         c.handle_core_req(0, read(1, 0x40), &mut out);
         c.handle_core_req(0, read(2, 0x48), &mut out);
         // Only one L3 request for the shared block.
@@ -563,7 +563,7 @@ mod tests {
     #[test]
     fn write_on_shared_upgrades() {
         let mut c = cache();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         c.handle_core_req(0, read(1, 0x40), &mut out);
         out.clear();
         grant(&mut c, 1, 1, Grant::Shared, &mut out);
@@ -588,7 +588,7 @@ mod tests {
     #[test]
     fn silent_e_to_m_upgrade_has_no_traffic() {
         let mut c = cache();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         c.handle_core_req(0, read(1, 0x40), &mut out);
         out.clear();
         grant(&mut c, 1, 1, Grant::Exclusive, &mut out);
@@ -602,7 +602,7 @@ mod tests {
     #[test]
     fn recall_invalidate_reports_dirty() {
         let mut c = cache();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         c.handle_core_req(0, write(1, 0x40), &mut out);
         out.clear();
         grant(&mut c, 1, 1, Grant::Modified, &mut out);
@@ -629,7 +629,7 @@ mod tests {
     #[test]
     fn recall_downgrade_keeps_shared_copy() {
         let mut c = cache();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         c.handle_core_req(0, write(1, 0x40), &mut out);
         out.clear();
         grant(&mut c, 1, 1, Grant::Modified, &mut out);
@@ -653,7 +653,7 @@ mod tests {
     #[test]
     fn recall_for_absent_block_acks_not_present() {
         let mut c = cache();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         c.handle_recall(
             0,
             Recall {
@@ -681,7 +681,7 @@ mod tests {
             ..MemHierarchyConfig::scaled()
         };
         let mut c = PrivateCache::new(CoreId(0), &cfg);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         // Dirty block 0 (set 0), then fill block 2 (also set 0): must evict.
         c.handle_core_req(0, write(1, 0x00), &mut out);
         out.clear();
@@ -714,7 +714,7 @@ mod tests {
             ..MemHierarchyConfig::scaled()
         };
         let mut c = PrivateCache::new(CoreId(0), &cfg);
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         c.handle_core_req(0, read(1, 0x40), &mut out);
         c.handle_core_req(0, read(2, 0x80), &mut out); // stalls: MSHR full
         let to_l3 = out
@@ -740,7 +740,7 @@ mod tests {
     #[test]
     fn late_write_waiter_triggers_reissue() {
         let mut c = cache();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         c.handle_core_req(0, read(1, 0x40), &mut out); // GetS leaves
         c.handle_core_req(0, write(2, 0x48), &mut out); // merges with write intent
         out.clear();
@@ -769,7 +769,7 @@ mod tests {
     #[test]
     fn report_contains_hit_counters() {
         let mut c = cache();
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         c.handle_core_req(0, read(1, 0x40), &mut out);
         let mut s = StatsReport::new();
         c.report("core0.", &mut s);

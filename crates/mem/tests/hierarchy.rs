@@ -3,7 +3,6 @@
 //! checking multi-hop protocol sequences that the per-component unit
 //! tests cannot see.
 
-use pei_engine::Outbox;
 use pei_mem::l3::{L3In, L3Out};
 use pei_mem::msg::{CoreReq, MemFetchDone};
 use pei_mem::private::PrivOut;
@@ -64,24 +63,24 @@ impl Harness {
             assert!(guard < 100_000, "harness runaway");
             match ev {
                 Ev::CoreReq(i, req) => {
-                    let mut outs = Outbox::new();
+                    let mut outs = Vec::new();
                     self.privs[i].handle_core_req(now, req, &mut outs);
                     self.route_priv(i, outs);
                 }
                 Ev::ToPriv(i, resp) => {
-                    let mut outs = Outbox::new();
+                    let mut outs = Vec::new();
                     self.privs[i].handle_l3_resp(now, resp, &mut outs);
                     self.route_priv(i, outs);
                 }
                 Ev::RecallPriv(i, recall) => {
-                    let mut outs = Outbox::new();
+                    let mut outs = Vec::new();
                     self.privs[i].handle_recall(now, recall, &mut outs);
                     self.route_priv(i, outs);
                 }
                 Ev::ToL3(input) => {
-                    let mut outs = Outbox::new();
+                    let mut outs = Vec::new();
                     self.l3.handle(now, input, &mut outs);
-                    for o in outs.drain() {
+                    for o in outs.drain(..) {
                         match o {
                             L3Out::Resp { resp, at } => self
                                 .queue
@@ -112,8 +111,8 @@ impl Harness {
         }
     }
 
-    fn route_priv(&mut self, i: usize, mut outs: Outbox<PrivOut>) {
-        for o in outs.drain() {
+    fn route_priv(&mut self, i: usize, mut outs: Vec<PrivOut>) {
+        for o in outs.drain(..) {
             match o {
                 PrivOut::CoreResp { id, at } => self.completions.push((CoreId(i as u16), id, at)),
                 PrivOut::ToL3 { req, at } => self.queue.push_back((at, Ev::ToL3(L3In::Req(req)))),

@@ -48,8 +48,7 @@ pub mod chaos;
 use pei_bench::runner::RunSpec;
 use pei_bench::service::{resolve_capture, resolve_recipe, result_frame, run_bounded, Stopped};
 use pei_bench::tracecap::CaptureSpec;
-use pei_system::RunResult;
-use pei_trace::{Recorder, TraceSink};
+use pei_trace::Recorder;
 use pei_types::wire::{Priority, Recipe, Request, Response, StatsFrame, TenantStat, WorkerStat};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
@@ -714,12 +713,9 @@ fn execute(shared: &Shared, job: Job) {
         panic!("injected {PANIC_WORKER_FAULT} fault (job {id})");
     }
     let mut last_cycle = 0u64;
-    let recorder = capture
-        .is_some()
-        .then(|| Box::new(Recorder::new()) as Box<dyn TraceSink>);
     let outcome = run_bounded(
         &spec,
-        recorder,
+        capture.is_some().then(Recorder::new),
         shared.slice,
         &ctl.cancel,
         deadline,
@@ -732,19 +728,20 @@ fn execute(shared: &Shared, job: Job) {
     );
     let mut trace_path = None;
     let outcome = match (outcome, capture) {
-        (Ok((result, Some(sink))), Some((cs, path))) => {
-            match write_capture(&cs, &result, sink, &path) {
+        (Ok((result, Some(mut rec))), Some((cs, path))) => {
+            let bytes = cs.seal(&result, &mut rec).to_bytes();
+            match std::fs::write(&path, bytes) {
                 Ok(()) => {
                     trace_path = Some(path);
                     Ok(result)
                 }
-                Err(message) => {
+                Err(e) => {
                     shared.jobs.lock().unwrap().remove(&id);
                     shared.failed.fetch_add(1, Ordering::Relaxed);
                     reply.send(Response::Error {
                         job: Some(id),
                         kind: "trace-io".to_owned(),
-                        message,
+                        message: format!("can't write trace `{path}`: {e}"),
                         violations: Vec::new(),
                     });
                     return;
@@ -799,20 +796,6 @@ fn execute(shared: &Shared, job: Job) {
             }
         },
     }
-}
-
-/// Seals a traced job's capture the way `CaptureSpec::capture` does and
-/// writes the encoded `.petr` to the requested path.
-fn write_capture(
-    cs: &CaptureSpec,
-    result: &RunResult,
-    mut sink: Box<dyn TraceSink>,
-    path: &str,
-) -> Result<(), String> {
-    let bytes = cs
-        .seal(result, sink.as_mut())
-        .ok_or_else(|| "the recorder lost its capture".to_owned())?;
-    std::fs::write(path, bytes).map_err(|e| format!("can't write trace `{path}`: {e}"))
 }
 
 /// Nearest-rank percentile of a sorted sample window (0 when empty).

@@ -129,8 +129,8 @@ pub struct FailureReport {
     /// Nonzero queue/buffer occupancies per component, as
     /// `(component.metric, value)` pairs.
     pub occupancies: Vec<(String, u64)>,
-    /// The last-K captured events (from the checked-mode ring recorder,
-    /// or whatever tracer was attached), if the sink retains records.
+    /// The captured events (the checked-mode ring recorder's last K, or
+    /// whatever recorder was attached), if a recorder was attached.
     pub recent_events: Option<Trace>,
 }
 

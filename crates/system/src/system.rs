@@ -18,14 +18,14 @@ use pei_core::{HostPcu, HostPcuOut, MemPcu, MemPcuOut, Pmu, PmuIn, PmuOut};
 use pei_cpu::core::{Core, CoreEvent, CoreStatus};
 use pei_cpu::trace::PhasedTrace;
 use pei_cpu::CoreOut;
-use pei_engine::{EventQueue, Outbox, StatsReport};
+use pei_engine::{EventQueue, StatsReport};
 use pei_hmc::ctrl::MemSideIn;
 use pei_hmc::{CtrlIn, CtrlOut, HmcController, Vault, VaultIn, VaultOut};
 use pei_mem::l3::{L3In, L3Out};
 use pei_mem::msg::{CoreReq, L3Resp, Recall};
 use pei_mem::xbar::XbarPayload;
 use pei_mem::{BackingStore, Crossbar, L3Bank, PrivOut, PrivateCache};
-use pei_trace::TraceSink;
+use pei_trace::Recorder;
 use pei_types::mem::ns;
 use pei_types::{BlockAddr, CoreId, Cycle, L3BankId, OperandValue, PimCmd, ReqId};
 
@@ -131,34 +131,6 @@ pub enum RunStatus {
     },
 }
 
-impl RunStatus {
-    /// Unwraps the completed result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run paused instead of completing.
-    pub fn expect_completed(self) -> RunResult {
-        match self {
-            RunStatus::Completed(r) => r,
-            RunStatus::Paused { at } => panic!("run paused at cycle {at}, expected completion"),
-        }
-    }
-
-    /// Unwraps the pause cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run completed instead of pausing.
-    pub fn expect_paused(self) -> Cycle {
-        match self {
-            RunStatus::Paused { at } => at,
-            RunStatus::Completed(r) => {
-                panic!("run completed ({:?}) before the pause point", r.outcome)
-            }
-        }
-    }
-}
-
 /// The simulated machine.
 ///
 /// Fields are `pub(crate)` so the invariant auditors in
@@ -191,18 +163,19 @@ pub struct System {
     // Violations found by sweeps or flagged by the router; non-empty
     // ends the run with a `CheckFailed` outcome.
     pub(crate) violations: Vec<Violation>,
-    // Reusable per-component outboxes: taken (std::mem::take) around each
-    // handler call and put back after routing, so the steady-state event
-    // loop allocates nothing. route_* methods only schedule events and
-    // never re-enter handlers, which makes the take/put pattern safe.
-    ob_core: Outbox<CoreOut>,
-    ob_priv: Outbox<PrivOut>,
-    ob_l3: Outbox<L3Out>,
-    ob_ctrl: Outbox<CtrlOut>,
-    ob_vault: Outbox<VaultOut>,
-    ob_mpcu: Outbox<MemPcuOut>,
-    ob_pmu: Outbox<PmuOut>,
-    ob_hpcu: Outbox<HostPcuOut>,
+    // Reusable per-component output buffers: taken (std::mem::take)
+    // around each handler call, drained by the router in FIFO order and
+    // put back, so the steady-state event loop allocates nothing. route_*
+    // methods only schedule events and never re-enter handlers, which
+    // makes the take/put pattern safe.
+    ob_core: Vec<CoreOut>,
+    ob_priv: Vec<PrivOut>,
+    ob_l3: Vec<L3Out>,
+    ob_ctrl: Vec<CtrlOut>,
+    ob_vault: Vec<VaultOut>,
+    ob_mpcu: Vec<MemPcuOut>,
+    ob_pmu: Vec<PmuOut>,
+    ob_hpcu: Vec<HostPcuOut>,
     // Event capture (None in normal runs). The hot path pays one
     // `is_some()` branch per dispatched event when tracing is off; all
     // name interning happens at attach time (see crate::tracer).
@@ -275,30 +248,30 @@ impl System {
             checks: None,
             faults: None,
             violations: Vec::new(),
-            ob_core: Outbox::new(),
-            ob_priv: Outbox::new(),
-            ob_l3: Outbox::new(),
-            ob_ctrl: Outbox::new(),
-            ob_vault: Outbox::new(),
-            ob_mpcu: Outbox::new(),
-            ob_pmu: Outbox::new(),
-            ob_hpcu: Outbox::new(),
+            ob_core: Vec::new(),
+            ob_priv: Vec::new(),
+            ob_l3: Vec::new(),
+            ob_ctrl: Vec::new(),
+            ob_vault: Vec::new(),
+            ob_mpcu: Vec::new(),
+            ob_pmu: Vec::new(),
+            ob_hpcu: Vec::new(),
             tracer: None,
             cfg,
         }
     }
 
-    /// Attaches an event-capture sink. Component and kind names are
-    /// interned into the sink immediately (so the event loop never
-    /// hashes a string), and the machine shape is written to the sink's
-    /// metadata. Replaces any previously attached sink.
-    pub fn attach_tracer(&mut self, sink: Box<dyn TraceSink>) {
-        self.tracer = Some(Tracer::new(sink, &self.cfg));
+    /// Attaches an event recorder. Component and kind names are
+    /// interned into it immediately (so the event loop never hashes a
+    /// string), and the machine shape is written to its metadata.
+    /// Replaces any previously attached recorder.
+    pub fn attach_tracer(&mut self, rec: Recorder) {
+        self.tracer = Some(Tracer::new(rec, &self.cfg));
     }
 
-    /// Detaches and returns the capture sink, if one is attached.
-    pub fn detach_tracer(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.tracer.take().map(|t| t.sink)
+    /// Detaches and returns the recorder, if one is attached.
+    pub fn detach_tracer(&mut self) -> Option<Recorder> {
+        self.tracer.take().map(|t| t.rec)
     }
 
     /// Turns on checked mode: the run loop sweeps the cross-component
@@ -313,7 +286,7 @@ impl System {
     /// contract as tracing; see DESIGN.md §9).
     pub fn enable_checks(&mut self, cfg: CheckConfig) {
         if self.tracer.is_none() {
-            self.attach_tracer(Box::new(pei_trace::Recorder::with_capacity(cfg.window)));
+            self.attach_tracer(Recorder::with_capacity(cfg.window));
         }
         self.checks = Some(Box::new(CheckState::new(cfg)));
     }
@@ -357,43 +330,6 @@ impl System {
         }
         self.ctrl.snapshot_phase(label);
         self.pmu.snapshot_phase(label);
-    }
-
-    /// Spec-driven one-call entry: builds a machine per `cfg`, assigns
-    /// `trace` to all of its cores, and runs to completion (or
-    /// `max_cycles`). This is the whole lifecycle of one experiment
-    /// cell, packaged so batch runners (`pei-bench`'s `runner` module)
-    /// can ship it to a worker thread as a single pure function of its
-    /// arguments.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pei_system::{MachineConfig, System};
-    /// use pei_core::DispatchPolicy;
-    /// use pei_cpu::trace::{Op, VecPhases};
-    /// use pei_mem::BackingStore;
-    ///
-    /// let mut store = BackingStore::new();
-    /// let a = store.alloc_block();
-    /// let cfg = MachineConfig::scaled(DispatchPolicy::LocalityAware);
-    /// let r = System::run_workload(
-    ///     cfg,
-    ///     store,
-    ///     Box::new(VecPhases::single(vec![Op::load(a)])),
-    ///     1_000_000,
-    /// );
-    /// assert_eq!(r.instructions, 1);
-    /// ```
-    pub fn run_workload(
-        cfg: MachineConfig,
-        store: BackingStore,
-        trace: Box<dyn PhasedTrace>,
-        max_cycles: Cycle,
-    ) -> RunResult {
-        let mut sys = System::new(cfg, store);
-        sys.add_workload(trace, (0..cfg.cores).collect());
-        sys.run(max_cycles)
     }
 
     /// Assigns a workload to a set of cores (threads map to `cores` in
@@ -530,9 +466,12 @@ impl System {
 
     /// [`run`](System::run), but optionally stopping at a deterministic
     /// cut point with all machine state intact — the slicing that
-    /// [`run_cancellable`](System::run_cancellable) is built on.
-    /// `Some(t)` dispatches every event strictly before cycle `t`, then
-    /// pauses (events *at* `t` stay queued).
+    /// long-lived hosts (`pei-serve`) use to stop an in-flight job
+    /// between slices. `Some(t)` dispatches every event strictly before
+    /// cycle `t`, then pauses (events *at* `t` stay queued). A pause
+    /// bound only changes *where* the loop stops, never the event order,
+    /// so a sliced run's final [`RunResult`] is identical to an unsliced
+    /// one.
     ///
     /// Returns [`RunStatus::Paused`] only when the pause point was
     /// reached with work still outstanding; a run that completes (or
@@ -592,52 +531,9 @@ impl System {
         RunStatus::Completed(self.result(RunOutcome::Completed))
     }
 
-    /// [`run`](System::run), but cooperatively cancellable: the run is
-    /// sliced into [`run_paused`](System::run_paused) windows of `slice`
-    /// cycles, and the cancel flag is checked between slices — the entry
-    /// point for long-lived hosts (`pei-serve`) that must abandon an
-    /// in-flight job without killing the process.
-    ///
-    /// `progress` is called with the cycle bound reached after each
-    /// slice that paused (a completed run may finish without any call).
-    /// Returns `None` if the flag was observed set; the machine is then
-    /// mid-run but quiescent (paused at a slice boundary) and should be
-    /// discarded. A slice bound only changes *where* the loop pauses,
-    /// never the event order inside it, so the final [`RunResult`] is
-    /// identical to an unsliced [`run`](System::run) — pinned by test
-    /// and relied on by the daemon's byte-identity contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slice` is zero, plus the harness-misuse panics of
-    /// [`run_paused`](System::run_paused).
-    pub fn run_cancellable(
-        &mut self,
-        max_cycles: Cycle,
-        slice: Cycle,
-        cancel: &std::sync::atomic::AtomicBool,
-        mut progress: impl FnMut(Cycle),
-    ) -> Option<RunResult> {
-        use std::sync::atomic::Ordering;
-        assert!(slice > 0, "slice must be at least one cycle");
-        let mut at = slice;
-        loop {
-            if cancel.load(Ordering::Relaxed) {
-                return None;
-            }
-            match self.run_paused(max_cycles, Some(at)) {
-                RunStatus::Completed(r) => return Some(r),
-                RunStatus::Paused { at: reached } => {
-                    progress(reached);
-                    at = reached.saturating_add(slice);
-                }
-            }
-        }
-    }
-
     /// Runs one sweep of the invariant auditors. Out-of-line and only
     /// reached in checked mode; the `CheckState` is taken and put back
-    /// (the outbox pattern) so it can borrow the rest of the machine
+    /// (as the output buffers are) so it can borrow the rest of the machine
     /// immutably.
     #[cold]
     fn sweep(&mut self, now: Cycle) {
@@ -723,11 +619,7 @@ impl System {
             diagnosis: self.diagnose(),
             violations: std::mem::take(&mut self.violations),
             occupancies: self.occupancies(),
-            recent_events: self
-                .tracer
-                .as_ref()
-                .and_then(|t| t.sink.to_petr())
-                .and_then(|bytes| pei_trace::Trace::from_bytes(&bytes).ok()),
+            recent_events: self.tracer.as_ref().map(|t| t.rec.to_trace()),
         });
         self.finish_time = self.finish_time.max(now);
         let outcome = match kind {
@@ -874,7 +766,7 @@ impl System {
         self.emit_record(now, comp, kind, payload);
     }
 
-    /// Delivers one trace record to the attached sink.
+    /// Delivers one trace record to the attached recorder.
     #[cold]
     fn emit_record(
         &mut self,
@@ -884,7 +776,7 @@ impl System {
         payload: u64,
     ) {
         let t = self.tracer.as_mut().expect("record requires a tracer");
-        t.sink.record(cycle, comp, kind, payload);
+        t.rec.record(cycle, comp, kind, payload);
     }
 
     /// Records a phase boundary (`start`) or group completion; payload
@@ -1057,7 +949,7 @@ impl System {
     fn core_tick(&mut self, i: usize, now: Cycle) {
         let mut core_outs = std::mem::take(&mut self.ob_core);
         let outcome = self.cores[i].tick(now, &mut core_outs);
-        for out in core_outs.drain() {
+        for out in core_outs.drain(..) {
             match out {
                 CoreOut::Mem { id, addr, write } => {
                     self.queue
@@ -1107,8 +999,8 @@ impl System {
         }
     }
 
-    fn route_priv(&mut self, i: usize, outs: &mut Outbox<PrivOut>) {
-        for out in outs.drain() {
+    fn route_priv(&mut self, i: usize, outs: &mut Vec<PrivOut>) {
+        for out in outs.drain(..) {
             match out {
                 PrivOut::CoreResp { id, at } => match id.namespace() {
                     ns::CORE => self.queue.schedule(at, Ev::CoreMemDone(i, id)),
@@ -1152,8 +1044,8 @@ impl System {
         }
     }
 
-    fn route_l3(&mut self, b: usize, outs: &mut Outbox<L3Out>) {
-        for out in outs.drain() {
+    fn route_l3(&mut self, b: usize, outs: &mut Vec<L3Out>) {
+        for out in outs.drain(..) {
             match out {
                 L3Out::Resp { resp, at } => {
                     let delivered = self.xsend(self.port_l3(b), at, XbarPayload::Data);
@@ -1186,9 +1078,9 @@ impl System {
         self.queue.schedule(at, Ev::Pmu(Box::new(input)));
     }
 
-    fn route_ctrl(&mut self, outs: &mut Outbox<CtrlOut>) {
+    fn route_ctrl(&mut self, outs: &mut Vec<CtrlOut>) {
         let vpc = self.cfg.hmc.vaults_per_cube;
-        for out in outs.drain() {
+        for out in outs.drain(..) {
             match out {
                 CtrlOut::ToVault { loc, access, at } => {
                     self.queue
@@ -1215,9 +1107,9 @@ impl System {
         }
     }
 
-    fn route_vault(&mut self, v: usize, outs: &mut Outbox<VaultOut>) {
+    fn route_vault(&mut self, v: usize, outs: &mut Vec<VaultOut>) {
         let vpc = self.cfg.hmc.vaults_per_cube;
-        for out in outs.drain() {
+        for out in outs.drain(..) {
             match out {
                 VaultOut::Done {
                     id,
@@ -1240,9 +1132,9 @@ impl System {
         }
     }
 
-    fn route_mem_pcu(&mut self, v: usize, outs: &mut Outbox<MemPcuOut>) {
+    fn route_mem_pcu(&mut self, v: usize, outs: &mut Vec<MemPcuOut>) {
         let vpc = self.cfg.hmc.vaults_per_cube;
-        for out in outs.drain() {
+        for out in outs.drain(..) {
             match out {
                 MemPcuOut::VaultAccess {
                     id,
@@ -1261,8 +1153,8 @@ impl System {
         }
     }
 
-    fn route_pmu(&mut self, outs: &mut Outbox<PmuOut>) {
-        for out in outs.drain() {
+    fn route_pmu(&mut self, outs: &mut Vec<PmuOut>) {
+        for out in outs.drain(..) {
             match out {
                 PmuOut::DecideHost { id, core, at } => {
                     let delivered = self.xsend(self.port_pmu(), at, XbarPayload::Control);
@@ -1308,8 +1200,8 @@ impl System {
         }
     }
 
-    fn route_host_pcu(&mut self, c: usize, outs: &mut Outbox<HostPcuOut>) {
-        for out in outs.drain() {
+    fn route_host_pcu(&mut self, c: usize, outs: &mut Vec<HostPcuOut>) {
+        for out in outs.drain(..) {
             match out {
                 HostPcuOut::ToPmu {
                     id,
@@ -1473,7 +1365,7 @@ mod tests {
         // Two same-bank accesses in the same cycle: the first occupies the
         // bank, the second stays queued — a synthetic stall as seen at
         // deadlock time.
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         for i in 0..2 {
             sys.vaults[0].handle_access(
                 0,
@@ -1574,7 +1466,7 @@ mod tests {
     fn unroutable_namespace_is_reported_not_fatal() {
         let cfg = MachineConfig::scaled(DispatchPolicy::LocalityAware);
         let mut sys = System::new(cfg, BackingStore::new());
-        let mut outs = Outbox::new();
+        let mut outs = Vec::new();
         outs.push(PrivOut::CoreResp {
             id: ReqId::tagged(ns::PMU, 0, 9),
             at: 41,
@@ -1626,7 +1518,7 @@ mod tests {
     fn diagnose_names_the_link_controller() {
         let cfg = MachineConfig::scaled(DispatchPolicy::LocalityAware);
         let mut sys = System::new(cfg, BackingStore::new());
-        let mut out = Outbox::new();
+        let mut out = Vec::new();
         sys.ctrl.handle_host(
             0,
             CtrlIn::Read {

@@ -1,13 +1,14 @@
 //! Capture glue between the system loop and `pei-trace`.
 //!
-//! A [`Tracer`] wraps the user-supplied [`TraceSink`] together with
-//! every component and kind id the loop will ever emit, interned once
-//! at attach time — the dispatch hot path only copies `u16` ids and
-//! never touches a string (DESIGN.md §8). All fields are crate-private:
-//! the public surface is `System::attach_tracer` / `detach_tracer`.
+//! A [`Tracer`] holds the user-supplied [`Recorder`] by value together
+//! with every component and kind id the loop will ever emit, interned
+//! once at attach time — the dispatch hot path only copies `u16` ids,
+//! never touches a string, and records with a direct call (DESIGN.md
+//! §8). All fields are crate-private: the public surface is
+//! `System::attach_tracer` / `detach_tracer`.
 
 use crate::config::MachineConfig;
-use pei_trace::{CompId, KindId, TraceSink};
+use pei_trace::{CompId, KindId, Recorder};
 
 /// Every event-kind id the system loop emits, pre-interned.
 pub(crate) struct Kinds {
@@ -46,9 +47,9 @@ pub(crate) struct Kinds {
     pub(crate) group_done: KindId,
 }
 
-/// The attached sink plus its pre-interned id tables.
+/// The attached recorder plus its pre-interned id tables.
 pub(crate) struct Tracer {
-    pub(crate) sink: Box<dyn TraceSink>,
+    pub(crate) rec: Recorder,
     pub(crate) core: Vec<CompId>,
     pub(crate) cache: Vec<CompId>,
     pub(crate) l3: Vec<CompId>,
@@ -62,15 +63,15 @@ pub(crate) struct Tracer {
     pub(crate) k: Kinds,
 }
 
-fn intern_indexed(sink: &mut dyn TraceSink, prefix: &str, n: usize) -> Vec<CompId> {
-    (0..n).map(|i| sink.comp(&format!("{prefix}{i}"))).collect()
+fn intern_indexed(rec: &mut Recorder, prefix: &str, n: usize) -> Vec<CompId> {
+    (0..n).map(|i| rec.comp(&format!("{prefix}{i}"))).collect()
 }
 
 impl Tracer {
     /// Interns every name the loop can emit and records the machine
-    /// shape in the sink's metadata.
-    pub(crate) fn new(mut sink: Box<dyn TraceSink>, cfg: &MachineConfig) -> Tracer {
-        let s = sink.as_mut();
+    /// shape in the recorder's metadata.
+    pub(crate) fn new(mut rec: Recorder, cfg: &MachineConfig) -> Tracer {
+        let s = &mut rec;
         s.meta("machine.cores", &cfg.cores.to_string());
         s.meta("machine.l3_banks", &cfg.mem.l3_banks.to_string());
         s.meta("machine.vaults", &cfg.total_vaults().to_string());
@@ -121,7 +122,7 @@ impl Tracer {
             group_done: s.kind("group.done"),
         };
         Tracer {
-            sink,
+            rec,
             core,
             cache,
             l3,

@@ -5,7 +5,7 @@
 use pei_core::DispatchPolicy;
 use pei_cpu::trace::{Op, PhasedTrace, VecPhases};
 use pei_mem::BackingStore;
-use pei_system::{CheckConfig, MachineConfig, RunResult, System};
+use pei_system::{CheckConfig, MachineConfig, RunResult, RunStatus, System};
 use pei_types::{Addr, OperandValue, PimOpKind};
 
 const LIMIT: u64 = 50_000_000;
@@ -338,13 +338,36 @@ fn fingerprint(r: &RunResult) -> String {
     )
 }
 
+/// Drives `sys` in `slice`-cycle `run_paused` windows, as the daemon's
+/// job runner does: `stop` sees the cycle reached at each pause, and
+/// returning true abandons the run there (`None`), the machine paused.
+fn run_sliced(
+    sys: &mut System,
+    slice: u64,
+    mut stop: impl FnMut(u64) -> bool,
+) -> Option<RunResult> {
+    let mut at = slice;
+    loop {
+        match sys.run_paused(LIMIT, Some(at)) {
+            RunStatus::Completed(r) => return Some(r),
+            RunStatus::Paused { at: reached } => {
+                if stop(reached) {
+                    return None;
+                }
+                at = reached + slice;
+            }
+        }
+    }
+}
+
 #[test]
 fn cancellable_run_is_byte_identical_to_unsliced() {
-    // Slicing the loop into run_paused windows changes where the
-    // driver pauses, never the event order inside a window — the
-    // foundation of pei-serve's byte-identity contract. Under checked
-    // mode a pause must not disturb auditor state either (MSHR aging,
-    // the sweep schedule): the sliced run sweeps clean and matches.
+    // Slicing the loop into run_paused windows — what makes a daemon
+    // job cancellable — changes where the run pauses, never the event
+    // order inside a window: the foundation of pei-serve's
+    // byte-identity contract. Under checked mode a pause must not
+    // disturb auditor state either (MSHR aging, the sweep schedule):
+    // the sliced run sweeps clean and matches.
     let cfg = MachineConfig::scaled(DispatchPolicy::LocalityAware);
     let checked = CheckConfig {
         interval: 512,
@@ -354,11 +377,12 @@ fn cancellable_run_is_byte_identical_to_unsliced() {
         let reference = build_mixed(cfg, check).run(LIMIT);
         assert!(reference.ok(), "{:?}: {:?}", check, reference.outcome);
 
-        let never = std::sync::atomic::AtomicBool::new(false);
         let mut beats = Vec::new();
-        let sliced = build_mixed(cfg, check)
-            .run_cancellable(LIMIT, 500, &never, |at| beats.push(at))
-            .expect("flag never set");
+        let sliced = run_sliced(&mut build_mixed(cfg, check), 500, |at| {
+            beats.push(at);
+            false
+        })
+        .expect("never stopped");
         assert!(sliced.ok(), "{:?}: {:?}", check, sliced.outcome);
         assert_eq!(fingerprint(&sliced), fingerprint(&reference), "{check:?}");
         assert!(
@@ -377,23 +401,22 @@ fn cancelled_run_stops_and_leaves_the_machine_resumable() {
     let reference = build_mixed(cfg, None).run(LIMIT);
     assert!(reference.ok());
 
-    // A pre-set flag stops the run before any work.
-    let set = std::sync::atomic::AtomicBool::new(true);
+    // A pause bound of cycle 0 stops the run before any work (events
+    // *at* the bound stay queued).
     let mut m = build_mixed(cfg, None);
-    assert!(m.run_cancellable(LIMIT, 500, &set, |_| ()).is_none());
+    assert!(matches!(
+        m.run_paused(LIMIT, Some(0)),
+        RunStatus::Paused { at: 0 }
+    ));
+    assert_eq!(fingerprint(&m.run(LIMIT)), fingerprint(&reference));
 
-    // A flag raised mid-run (from the progress hook, as the daemon's
-    // cancel request effectively does) stops at the next slice edge —
-    // and the abandoned machine is merely paused, not corrupted:
-    // resuming it completes byte-identically.
-    let cancel = std::sync::atomic::AtomicBool::new(false);
+    // A stop raised mid-run (as the daemon's cancel request does)
+    // lands on the next slice edge — and the abandoned machine is
+    // merely paused, not corrupted: resuming it completes
+    // byte-identically.
     let mut m = build_mixed(cfg, None);
-    let out = m.run_cancellable(LIMIT, 500, &cancel, |at| {
-        if at >= 2_000 {
-            cancel.store(true, std::sync::atomic::Ordering::Relaxed);
-        }
-    });
-    assert!(out.is_none(), "cancel observed at a slice boundary");
+    let out = run_sliced(&mut m, 500, |at| at >= 2_000);
+    assert!(out.is_none(), "stop observed at a slice boundary");
     let resumed = m.run(LIMIT);
     assert_eq!(fingerprint(&resumed), fingerprint(&reference));
 }

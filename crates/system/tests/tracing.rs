@@ -6,7 +6,7 @@ use pei_core::DispatchPolicy;
 use pei_cpu::trace::{Op, VecPhases};
 use pei_mem::BackingStore;
 use pei_system::{MachineConfig, System};
-use pei_trace::{diff, NullSink, Recorder, Trace, TraceSink};
+use pei_trace::{diff, Recorder, Trace};
 use pei_types::{Addr, OperandValue, PimOpKind};
 
 /// A small workload exercising plain loads, stores, and PEIs so every
@@ -26,34 +26,30 @@ fn workload(store: &mut BackingStore) -> Vec<Op> {
     ops
 }
 
-/// Runs the standard workload, optionally tracing into `sink`; returns
-/// the run result and the detached sink.
-fn run(sink: Option<Box<dyn TraceSink>>) -> (pei_system::RunResult, Option<Box<dyn TraceSink>>) {
+/// Runs the standard workload, optionally tracing into `rec`; returns
+/// the run result and the detached recorder.
+fn run(rec: Option<Recorder>) -> (pei_system::RunResult, Option<Recorder>) {
     let mut store = BackingStore::new();
     let ops = workload(&mut store);
     let cfg = MachineConfig::scaled(DispatchPolicy::LocalityAware);
     let mut sys = System::new(cfg, store);
     sys.add_workload(Box::new(VecPhases::single(ops)), vec![0]);
-    if let Some(s) = sink {
-        sys.attach_tracer(s);
+    if let Some(rec) = rec {
+        sys.attach_tracer(rec);
     }
     let result = sys.run(10_000_000);
-    let sink = sys.detach_tracer();
-    (result, sink)
+    let rec = sys.detach_tracer();
+    (result, rec)
 }
 
 fn capture() -> Trace {
-    let (_, sink) = run(Some(Box::new(Recorder::new())));
-    let bytes = sink
-        .expect("tracer attached")
-        .to_petr()
-        .expect("recorder retains its capture");
-    Trace::from_bytes(&bytes).expect("own encoding parses")
+    let (_, rec) = run(Some(Recorder::new()));
+    rec.expect("tracer attached").to_trace()
 }
 
 #[test]
 fn capture_does_not_perturb_the_run() {
-    let (traced, _) = run(Some(Box::new(Recorder::new())));
+    let (traced, _) = run(Some(Recorder::new()));
     let (untraced, none) = run(None);
     assert!(none.is_none());
     assert_eq!(
@@ -109,9 +105,8 @@ fn identical_runs_produce_identical_traces() {
 #[test]
 fn ring_capture_bounds_the_buffer() {
     let cap = 64;
-    let (_, sink) = run(Some(Box::new(Recorder::with_capacity(cap))));
-    let bytes = sink.unwrap().to_petr().unwrap();
-    let t = Trace::from_bytes(&bytes).unwrap();
+    let (_, rec) = run(Some(Recorder::with_capacity(cap)));
+    let t = rec.unwrap().to_trace();
     assert_eq!(t.records.len(), cap);
     assert!(t.dropped > 0, "this workload overflows a 64-record ring");
     // The ring keeps the newest records: the tail must include the final
@@ -150,10 +145,4 @@ fn multi_phase_runs_emit_warmup_and_steady_sections() {
     // Both phases did real work.
     assert!(warmup.expect("core.instructions") > 0.0);
     assert!(steady.expect("core.instructions") > 0.0);
-}
-
-#[test]
-fn null_sink_observes_without_retaining() {
-    let (_, sink) = run(Some(Box::new(NullSink::new())));
-    assert!(sink.unwrap().to_petr().is_none());
 }

@@ -139,7 +139,6 @@ pub fn diff(left: &Trace, right: &Trace) -> Option<Divergence> {
 mod tests {
     use super::*;
     use crate::recorder::Recorder;
-    use crate::sink::TraceSink;
 
     fn capture(names: &[(&str, &str, u64, u64)]) -> Trace {
         let mut rec = Recorder::new();

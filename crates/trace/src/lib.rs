@@ -8,13 +8,12 @@
 //!
 //! The pieces:
 //!
-//! * [`TraceSink`] — the capture interface `pei-system` drives. It is
-//!   object-safe and `Send`, so a boxed sink travels with a `System`
-//!   onto worker threads.
-//! * [`Recorder`] — the standard sink: an in-memory, optionally
-//!   ring-bounded record buffer that serializes to the `.petr` binary
-//!   format ([`mod@format`]).
-//! * [`Trace`] — a loaded `.petr` file, with resolved name tables.
+//! * [`Recorder`] — what `pei-system` captures into: an in-memory,
+//!   optionally ring-bounded record buffer with interned name tables.
+//!   It is `Send`, so it travels with a `System` onto worker threads.
+//! * [`Trace`] — a recorder's snapshot or a loaded `.petr` file, with
+//!   resolved name tables; it encodes to and decodes from the `.petr`
+//!   binary format ([`mod@format`]).
 //! * [`diff`](diff::diff) — first-divergent-record comparison between
 //!   two traces: the regression gate that localizes a timing change to
 //!   a specific component and cycle.
@@ -29,7 +28,7 @@
 //! # Examples
 //!
 //! ```
-//! use pei_trace::{Recorder, TraceSink};
+//! use pei_trace::Recorder;
 //!
 //! let mut rec = Recorder::new();
 //! let vault = rec.comp("vault0");
@@ -43,7 +42,7 @@
 //! ```
 //!
 //! This crate's place in the workspace is mapped in DESIGN.md §5; the
-//! binary record layout and the sink contract are specified in
+//! binary record layout and the recorder contract are specified in
 //! DESIGN.md §8.
 
 #![warn(missing_docs)]
@@ -53,10 +52,8 @@ pub mod format;
 pub mod perfetto;
 pub mod record;
 pub mod recorder;
-pub mod sink;
 
 pub use diff::{diff, Divergence, Resolved};
 pub use format::TraceError;
 pub use record::{CompId, KindId, Record};
 pub use recorder::{Recorder, Trace};
-pub use sink::{NullSink, TraceSink};

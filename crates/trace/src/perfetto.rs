@@ -184,7 +184,6 @@ pub fn chrome_trace_json(t: &Trace) -> String {
 mod tests {
     use super::*;
     use crate::recorder::Recorder;
-    use crate::sink::TraceSink;
 
     #[test]
     fn export_names_threads_and_orders_records() {

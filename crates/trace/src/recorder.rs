@@ -1,18 +1,23 @@
-//! The standard in-memory recorder and the loaded-trace type.
+//! The in-memory recorder the simulator captures into, and the
+//! loaded-trace type.
 
 use crate::record::{CompId, KindId, Record};
-use crate::sink::TraceSink;
 use crate::TraceError;
 use std::collections::HashMap;
 
-/// A [`TraceSink`] that buffers records in memory, optionally as a ring
-/// keeping only the most recent `capacity` records (older records are
-/// evicted and counted in [`dropped`](Recorder::dropped)).
+/// Buffers trace records in memory, optionally as a ring keeping only
+/// the most recent `capacity` records (older records are evicted and
+/// counted in [`dropped`](Recorder::dropped)).
+///
+/// Component and kind names are interned: [`comp`](Recorder::comp) and
+/// [`kind`](Recorder::kind) return the same id for the same name, so a
+/// caller interns once and [`record`](Recorder::record) takes only ids
+/// (the hot path never hashes a string).
 ///
 /// # Examples
 ///
 /// ```
-/// use pei_trace::{Recorder, TraceSink};
+/// use pei_trace::Recorder;
 ///
 /// let mut rec = Recorder::with_capacity(2);
 /// let c = rec.comp("pmu");
@@ -58,6 +63,46 @@ impl Recorder {
         }
     }
 
+    /// Interns a component name, returning its stable id.
+    pub fn comp(&mut self, name: &str) -> CompId {
+        CompId(intern(&mut self.comps, &mut self.comp_ids, name))
+    }
+
+    /// Interns an event-kind name, returning its stable id.
+    pub fn kind(&mut self, name: &str) -> KindId {
+        KindId(intern(&mut self.kinds, &mut self.kind_ids, name))
+    }
+
+    /// Captures one event. Hot path.
+    #[inline]
+    pub fn record(&mut self, cycle: u64, comp: CompId, kind: KindId, payload: u64) {
+        let r = Record {
+            cycle,
+            comp,
+            kind,
+            payload,
+        };
+        match self.cap {
+            Some(cap) if self.buf.len() == cap => {
+                // Ring overwrite: replace the oldest slot and advance.
+                self.buf[self.start] = r;
+                self.start = (self.start + 1) % cap;
+                self.dropped += 1;
+            }
+            _ => self.buf.push(r),
+        }
+    }
+
+    /// Attaches a key → value metadata entry (run description, stats
+    /// digest). Order is preserved; duplicate keys keep the last value.
+    pub fn meta(&mut self, key: &str, value: &str) {
+        if let Some(slot) = self.meta.iter_mut().find(|(k, _)| k == key) {
+            slot.1 = value.to_string();
+        } else {
+            self.meta.push((key.to_string(), value.to_string()));
+        }
+    }
+
     /// Number of records currently held.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -95,11 +140,6 @@ impl Recorder {
             records: self.records().copied().collect(),
         }
     }
-
-    /// Serializes to the `.petr` binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_trace().to_bytes()
-    }
 }
 
 fn intern(table: &mut Vec<String>, ids: &mut HashMap<String, u16>, name: &str) -> u16 {
@@ -111,47 +151,6 @@ fn intern(table: &mut Vec<String>, ids: &mut HashMap<String, u16>, name: &str) -
     table.push(name.to_string());
     ids.insert(name.to_string(), id);
     id
-}
-
-impl TraceSink for Recorder {
-    fn comp(&mut self, name: &str) -> CompId {
-        CompId(intern(&mut self.comps, &mut self.comp_ids, name))
-    }
-
-    fn kind(&mut self, name: &str) -> KindId {
-        KindId(intern(&mut self.kinds, &mut self.kind_ids, name))
-    }
-
-    #[inline]
-    fn record(&mut self, cycle: u64, comp: CompId, kind: KindId, payload: u64) {
-        let r = Record {
-            cycle,
-            comp,
-            kind,
-            payload,
-        };
-        match self.cap {
-            Some(cap) if self.buf.len() == cap => {
-                // Ring overwrite: replace the oldest slot and advance.
-                self.buf[self.start] = r;
-                self.start = (self.start + 1) % cap;
-                self.dropped += 1;
-            }
-            _ => self.buf.push(r),
-        }
-    }
-
-    fn meta(&mut self, key: &str, value: &str) {
-        if let Some(slot) = self.meta.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = value.to_string();
-        } else {
-            self.meta.push((key.to_string(), value.to_string()));
-        }
-    }
-
-    fn to_petr(&self) -> Option<Vec<u8>> {
-        Some(self.to_bytes())
-    }
 }
 
 /// A fully loaded trace: name tables, metadata, and records in capture
@@ -232,6 +231,9 @@ mod tests {
         let mut rec = Recorder::new();
         let c = rec.comp("a");
         let k = rec.kind("x");
+        // Interning is stable: the same name gets the same id.
+        assert_ne!(rec.comp("b"), c);
+        assert_eq!((rec.comp("a"), rec.kind("x")), (c, k));
         for i in 0..100 {
             rec.record(i, c, k, i * 2);
         }

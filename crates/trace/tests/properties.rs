@@ -3,7 +3,7 @@
 //! `.petr` encode/decode round trip byte-for-byte, and the diff must be
 //! reflexively clean.
 
-use pei_trace::{diff, Divergence, Recorder, Trace, TraceSink};
+use pei_trace::{diff, Divergence, Recorder, Trace};
 use proptest::prelude::*;
 
 /// Builds a capture from generated raw material: `events` drive both

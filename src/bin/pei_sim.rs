@@ -126,9 +126,20 @@ fn parse_args() -> Args {
     a
 }
 
+/// The `sim_speed` line: simulated cycles per second of `wall`. A
+/// local run's `wall` is the simulation alone; a served run's spans
+/// submit to result frame (queue wait, input build, encode and
+/// transport included), and its line says so.
+fn sim_speed_line(cycles: u64, wall: Duration, served: bool) -> String {
+    let speed = cycles as f64 / wall.as_secs_f64();
+    let span = if served { " (submit to result)" } else { "" };
+    format!("sim_speed        {speed:>11.0} sim-cycles/s{span}")
+}
+
 /// Prints a run's metrics, and with `stats` its full statistics
-/// report. `sim_speed` divides the simulated cycles by `wall`.
-fn print_result(r: &ResultFrame, wall: Duration, stats: bool) {
+/// report. `sim_speed` divides the simulated cycles by `wall`, the span
+/// [`sim_speed_line`] names.
+fn print_result(r: &ResultFrame, wall: Duration, served: bool, stats: bool) {
     println!("cycles           {:>14}", r.cycles);
     println!("instructions     {:>14}", r.instructions);
     println!(
@@ -144,10 +155,7 @@ fn print_result(r: &ResultFrame, wall: Duration, stats: bool) {
     );
     println!("dram_accesses    {:>14}", r.dram_accesses);
     println!("energy_total_nj  {:>14.0}", r.energy_total_nj);
-    println!(
-        "sim_speed        {:>11.0} sim-cycles/s",
-        r.cycles as f64 / wall.as_secs_f64()
-    );
+    println!("{}", sim_speed_line(r.cycles, wall, served));
     if stats {
         println!("\n--- full statistics ---\n{}", r.stats);
     }
@@ -229,7 +237,7 @@ fn submit_to_daemon(socket: &str, args: &Args) -> ! {
             }
             Ok(Response::Progress { .. }) => {}
             Ok(Response::Result(r)) => {
-                print_result(&r, start.elapsed(), args.stats);
+                print_result(&r, start.elapsed(), true, args.stats);
                 std::process::exit(0);
             }
             Ok(Response::Cancelled { job, cycle }) => {
@@ -292,5 +300,23 @@ fn main() {
     let start = Instant::now();
     let r = sys.run(run.max_cycles);
     let wall = start.elapsed();
-    print_result(&result_frame(0, &r, None), wall, args.stats);
+    print_result(&result_frame(0, &r, None), wall, false, args.stats);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn served_sim_speed_names_its_span() {
+        let wall = Duration::from_millis(500);
+        assert_eq!(
+            sim_speed_line(1_000_000, wall, false),
+            "sim_speed            2000000 sim-cycles/s"
+        );
+        assert_eq!(
+            sim_speed_line(1_000_000, wall, true),
+            "sim_speed            2000000 sim-cycles/s (submit to result)"
+        );
+    }
 }
