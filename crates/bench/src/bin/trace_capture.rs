@@ -21,7 +21,9 @@
 //! The recipe flags are read by `CaptureSpec::read_flag`, as in
 //! `pei-sim`: `-w/--workload`, `-s/--size`, `-p/--policy` (the short
 //! names `host|pim|la|bd` or the long trace-metadata names), values
-//! case-insensitive, and `--budget`. Bad arguments, unreadable traces
+//! case-insensitive, and `--budget`. A capture carries its own recipe,
+//! so `--replay` and `--export` refuse every recipe flag, `--scale`,
+//! `--paper` and `--seed` included. Bad arguments, unreadable traces
 //! and traces without a replayable recipe print `error: …` and exit
 //! with status 2.
 
@@ -51,7 +53,8 @@ fn parse_args() -> Args {
         replay: None,
         export: None,
     };
-    cli::parse_env(
+    let mut recipe_flags = Vec::new();
+    let shared = cli::parse_env(
         USAGE,
         &[Shared::Scale, Shared::Paper, Shared::Seed],
         &mut opts,
@@ -61,11 +64,18 @@ fn parse_args() -> Args {
                 "--perfetto" => a.perfetto = Some(args.value()?),
                 "--replay" => a.replay = Some(args.value()?),
                 "--export" => a.export = Some(args.value()?),
-                _ => return a.spec.read_flag(arg, args),
+                _ => {
+                    let read = a.spec.read_flag(arg, args)?;
+                    if read {
+                        recipe_flags.push(arg.to_owned());
+                    }
+                    return Ok(read);
+                }
             }
             Ok(true)
         },
     );
+    recipe_flags.extend(shared);
     (a.spec.scale, a.spec.paper_machine, a.spec.seed) = (opts.scale, opts.paper_machine, opts.seed);
     let modes: Vec<&str> = [
         ("--replay", a.replay.is_some()),
@@ -79,6 +89,13 @@ fn parse_args() -> Args {
         fail(&format!(
             "{} can't be combined: each is its own mode\n\n{USAGE}",
             modes.join(" and ")
+        ));
+    }
+    if !recipe_flags.is_empty() && (a.replay.is_some() || a.export.is_some()) {
+        fail(&format!(
+            "{} can't be combined with {}: the capture carries its own recipe\n\n{USAGE}",
+            recipe_flags.join(" and "),
+            modes[0]
         ));
     }
     if a.replay.is_some() && a.perfetto.is_some() {

@@ -1,5 +1,6 @@
 //! The one command-line parser of the bench binaries (`figures`,
-//! `sim_throughput`, `trace_capture`, `trace_diff`).
+//! `sim_throughput`, `trace_capture`, `trace_diff`), of `pei-sim` and of
+//! `pei-serve`.
 //!
 //! It owns the flags they share — `--scale quick|full`, `--paper`,
 //! `--seed N`, `--jobs N` and `--check`, each binary accepting the ones
@@ -88,7 +89,8 @@ impl Args {
 /// Parses `argv` (without the program name). A flag named in `shared`
 /// sets its field of `opts`; every other argument goes to `own`, which
 /// reads any value it takes from the [`Args`] and returns `Ok(false)`
-/// for an argument it does not know.
+/// for an argument it does not know. Returns the shared flags given, in
+/// order, as spelled.
 ///
 /// # Errors
 ///
@@ -99,11 +101,12 @@ pub fn parse(
     shared: &[Shared],
     opts: &mut ExpOptions,
     mut own: impl FnMut(&str, &mut Args) -> Result<bool, String>,
-) -> Result<(), String> {
+) -> Result<Vec<String>, String> {
     let mut args = Args {
         argv: argv.into_iter().collect::<Vec<_>>().into_iter(),
         flag: String::new(),
     };
+    let mut given = Vec::new();
     while let Some(arg) = args.argv.next() {
         args.flag.clone_from(&arg);
         let accepts = |flag| shared.contains(&flag);
@@ -121,10 +124,12 @@ pub fn parse(
                 if !own(&arg, &mut args)? {
                     return Err(format!("unknown argument `{arg}`"));
                 }
+                continue;
             }
         }
+        given.push(arg);
     }
-    Ok(())
+    Ok(given)
 }
 
 /// [`parse`] over the process's arguments: on an error, prints
@@ -134,10 +139,9 @@ pub fn parse_env(
     shared: &[Shared],
     opts: &mut ExpOptions,
     own: impl FnMut(&str, &mut Args) -> Result<bool, String>,
-) {
-    if let Err(e) = parse(std::env::args().skip(1), shared, opts, own) {
-        fail(&format!("{e}\n\n{usage}"));
-    }
+) -> Vec<String> {
+    parse(std::env::args().skip(1), shared, opts, own)
+        .unwrap_or_else(|e| fail(&format!("{e}\n\n{usage}")))
 }
 
 /// Prints `error: {msg}` to stderr and exits with status 2: the path of
@@ -159,7 +163,7 @@ mod tests {
     fn shared_flags_set_options_and_the_rest_reach_the_binary() {
         let mut opts = ExpOptions::default();
         let mut seen = Vec::new();
-        parse(
+        let given = parse(
             args("fig6 --scale full --paper --seed 9 --jobs 3 --check --repeat 2"),
             &[
                 Shared::Scale,
@@ -182,6 +186,7 @@ mod tests {
         assert!(opts.paper_machine && opts.check);
         assert_eq!((opts.seed, opts.jobs), (9, 3));
         assert_eq!(seen, ["fig6", "repeat=2"]);
+        assert_eq!(given, ["--scale", "--paper", "--seed", "--jobs", "--check"]);
     }
 
     #[test]

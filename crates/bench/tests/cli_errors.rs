@@ -70,6 +70,29 @@ fn cases() -> Vec<(&'static str, Vec<String>, &'static str)> {
             args("--replay a.petr --perfetto out.json"),
             "--replay and --perfetto can't be combined",
         ),
+        // A capture carries its own recipe: recipe flags are refused
+        // with --replay and --export whatever their value, before any
+        // trace is read.
+        (
+            trace_capture,
+            args("--replay a.petr -w hj"),
+            "-w can't be combined with --replay",
+        ),
+        (
+            trace_capture,
+            args("--replay a.petr --seed 24301"),
+            "--seed can't be combined with --replay",
+        ),
+        (
+            trace_capture,
+            args("--export a.petr --perfetto o.json --paper"),
+            "--paper can't be combined with --export",
+        ),
+        (
+            trace_capture,
+            args("--budget 5 --export a.petr --perfetto o.json --scale quick"),
+            "--budget and --scale can't be combined with --export",
+        ),
         (
             env!("CARGO_BIN_EXE_trace_diff"),
             vec![missing.clone(), missing],

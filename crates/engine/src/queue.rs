@@ -26,14 +26,13 @@
 //!   provably empty at the moment the window first covers it, and the
 //!   heap yields same-cycle entries in `seq` order, so the move cannot
 //!   reorder same-cycle events).
-//! - **Below-window** schedules (earlier than every event still pending
-//!   — legal for a general priority queue, unused by the simulator) go
-//!   to a `late` heap that always outranks the window.
 //!
-//! Same-cycle FIFO order is exact across all three regions: bucket
-//! lists only ever receive entries in increasing schedule order, and
-//! the heaps order by `(cycle, seq)` with `seq` assigned globally at
-//! `schedule` time.
+//! Time never runs backwards: a schedule below `base` (the cycle of the
+//! last pop, or the limit a [`pop_before`](EventQueue::pop_before)
+//! stopped at) panics. Same-cycle FIFO order is exact across both
+//! regions: bucket lists only ever receive entries in increasing
+//! schedule order, and the heap orders by `(cycle, seq)` with `seq`
+//! assigned globally at `schedule` time.
 
 use pei_types::Cycle;
 use std::cmp::Reverse;
@@ -67,7 +66,8 @@ pub struct EventQueue<E> {
     tails: Box<[u32]>,
     /// `heads.len() - 1`; the length is a power of two.
     mask: u64,
-    /// First cycle the window covers. Never decreases.
+    /// First cycle the window covers, and the earliest cycle
+    /// [`schedule`](Self::schedule) accepts. Never decreases.
     base: Cycle,
     /// `(base & mask) as usize`, kept in sync with `base`.
     cursor: usize,
@@ -85,10 +85,7 @@ pub struct EventQueue<E> {
     /// lets the pop-side scan test "does the window need a refill?"
     /// with one integer compare instead of a heap peek per step.
     overflow_next: Cycle,
-    /// Events scheduled below `base` after the window moved past their
-    /// cycle; always popped before anything in the window.
-    late: BinaryHeap<Reverse<Entry<E>>>,
-    /// Events ever scheduled; also each heap entry's `seq`, the global
+    /// Events ever scheduled; also each overflow entry's `seq`, the global
     /// schedule order.
     scheduled: u64,
 }
@@ -156,7 +153,6 @@ impl<E> EventQueue<E> {
             free: NIL,
             overflow: BinaryHeap::new(),
             overflow_next: u64::MAX,
-            late: BinaryHeap::new(),
             scheduled: 0,
         }
     }
@@ -225,21 +221,23 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `ev` to fire at absolute cycle `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is below the cycle of the last pop (or the limit
+    /// a `pop_before` advanced to): the queue never moves back in time.
     pub fn schedule(&mut self, at: Cycle, ev: E) {
+        assert!(
+            at >= self.base,
+            "event scheduled at cycle {at}, below the queue's cycle {}",
+            self.base
+        );
         self.scheduled += 1;
-        if at >= self.base {
-            if at - self.base < self.window() {
-                self.push_bucket(at, ev);
-            } else {
-                self.overflow_next = self.overflow_next.min(at);
-                self.overflow.push(Reverse(Entry {
-                    at,
-                    seq: self.scheduled,
-                    ev,
-                }));
-            }
+        if at - self.base < self.window() {
+            self.push_bucket(at, ev);
         } else {
-            self.late.push(Reverse(Entry {
+            self.overflow_next = self.overflow_next.min(at);
+            self.overflow.push(Reverse(Entry {
                 at,
                 seq: self.scheduled,
                 ev,
@@ -249,35 +247,7 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event together with its cycle.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        // Late entries are all below `base`, hence below every window
-        // and overflow entry; among themselves the heap orders them.
-        if !self.late.is_empty() {
-            let Reverse(e) = self.late.pop().expect("checked non-empty");
-            return Some((e.at, e.ev));
-        }
-        if self.in_window > 0 {
-            // Slide the window to the first non-empty bucket. Each step
-            // exposes exactly one new cycle at the far end, whose ring
-            // slot is the bucket just verified empty — refill eagerly so
-            // overflow entries land there ahead of any future schedule.
-            while self.heads[self.cursor] == NIL {
-                self.base += 1;
-                self.cursor = (self.cursor + 1) & self.mask as usize;
-                if self.overflow_next < self.base.saturating_add(self.window()) {
-                    self.refill();
-                }
-            }
-            return Some((self.base, self.pop_head()));
-        }
-        // Window empty: jump it to the earliest overflow entry.
-        let Reverse(e) = self.overflow.pop()?;
-        self.base = e.at;
-        self.cursor = (e.at & self.mask) as usize;
-        self.overflow_next = self.overflow.peek().map_or(u64::MAX, |Reverse(t)| t.at);
-        if self.overflow_next < self.base.saturating_add(self.window()) {
-            self.refill();
-        }
-        Some((e.at, e.ev))
+        self.pop_through(Cycle::MAX)
     }
 
     /// Removes and returns the earliest event **strictly before**
@@ -292,23 +262,26 @@ impl<E> EventQueue<E> {
     /// [`pop`](Self::pop) or `pop_before` with a larger limit observes
     /// exactly the schedule order an unpaused drain would.
     pub fn pop_before(&mut self, limit: Cycle) -> Option<(Cycle, E)> {
-        // Late entries sit below `base`; if the earliest of them is not
-        // below `limit` then neither is anything in the window or the
-        // overflow (both at `>= base > late.at >= limit`).
-        if let Some(Reverse(e)) = self.late.peek() {
-            if e.at >= limit {
-                return None;
-            }
-            let Reverse(e) = self.late.pop().expect("peeked non-empty");
-            return Some((e.at, e.ev));
-        }
+        self.pop_through(limit.checked_sub(1)?)
+    }
+
+    /// The one scan behind [`pop`](Self::pop) and
+    /// [`pop_before`](Self::pop_before): removes and returns the
+    /// earliest event at or before cycle `last`; `base` advances at most
+    /// to `last + 1`.
+    #[inline]
+    fn pop_through(&mut self, last: Cycle) -> Option<(Cycle, E)> {
         if self.in_window > 0 {
-            // Same scan as `pop`, but `base` stops at `limit`. Refill
-            // keeps the "overflow never holds an in-window cycle"
-            // invariant as the window slides, so any overflow entry
-            // below `limit` is in a bucket by the time `base` reaches
-            // its cycle.
-            while self.base < limit {
+            // Slide the window to the first non-empty bucket. Each step
+            // exposes exactly one new cycle at the far end, whose ring
+            // slot is the bucket just verified empty — refill eagerly so
+            // overflow entries land there ahead of any future schedule,
+            // and any overflow entry up to `last` is in a bucket by the
+            // time `base` reaches its cycle.
+            loop {
+                if self.base > last {
+                    return None;
+                }
                 if self.heads[self.cursor] != NIL {
                     return Some((self.base, self.pop_head()));
                 }
@@ -318,28 +291,23 @@ impl<E> EventQueue<E> {
                     self.refill();
                 }
             }
+        }
+        // Window empty: jump it to the earliest overflow entry.
+        if self.overflow_next > last {
             return None;
         }
-        // Window empty: only an overflow jump can yield an event below
-        // `limit`.
-        if self.overflow_next < limit {
-            let Reverse(e) = self.overflow.pop().expect("overflow_next says non-empty");
-            self.base = e.at;
-            self.cursor = (e.at & self.mask) as usize;
-            self.overflow_next = self.overflow.peek().map_or(u64::MAX, |Reverse(t)| t.at);
-            if self.overflow_next < self.base.saturating_add(self.window()) {
-                self.refill();
-            }
-            return Some((e.at, e.ev));
+        let Reverse(e) = self.overflow.pop()?;
+        self.base = e.at;
+        self.cursor = (e.at & self.mask) as usize;
+        self.overflow_next = self.overflow.peek().map_or(u64::MAX, |Reverse(t)| t.at);
+        if self.overflow_next < self.base.saturating_add(self.window()) {
+            self.refill();
         }
-        None
+        Some((e.at, e.ev))
     }
 
     /// Cycle of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
-        if let Some(Reverse(e)) = self.late.peek() {
-            return Some(e.at);
-        }
         if self.in_window > 0 {
             for d in 0..self.window() {
                 if self.heads[((self.base + d) & self.mask) as usize] != NIL {
@@ -353,7 +321,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.in_window + self.overflow.len() + self.late.len()
+        self.in_window + self.overflow.len()
     }
 
     /// Whether no events are pending.
@@ -473,19 +441,15 @@ mod tests {
     }
 
     #[test]
-    fn schedule_below_window_still_pops_first() {
-        // A general priority queue admits inserts below everything
-        // pending; the calendar's late heap serves them first.
+    #[should_panic(expected = "event scheduled at cycle 3, below the queue's cycle 50")]
+    fn scheduling_below_the_last_pop_panics() {
+        // Time never runs backwards: once a pop reached cycle 50, an
+        // event for cycle 3 is a caller bug, not a late arrival.
         let mut q = EventQueue::new();
         q.schedule(50, 'b');
         assert_eq!(q.pop(), Some((50, 'b'))); // base is now 50
-        q.schedule(60, 'd');
-        q.schedule(3, 'a'); // below base
-        q.schedule(3, 'c'); // FIFO among late entries
-        assert_eq!(q.peek_time(), Some(3));
-        assert_eq!(q.pop(), Some((3, 'a')));
-        assert_eq!(q.pop(), Some((3, 'c')));
-        assert_eq!(q.pop(), Some((60, 'd')));
+        q.schedule(50, 'c'); // the current cycle is still open
+        q.schedule(3, 'a');
     }
 
     #[test]
@@ -508,12 +472,13 @@ mod tests {
     fn slots_are_recycled() {
         // Steady-state schedule/pop cycles must not grow the slab.
         let mut q = EventQueue::with_horizon(64);
+        let mut now = 0;
         for round in 0..100u64 {
             for k in 0..8 {
-                q.schedule(round + k % 3, (round, k));
+                q.schedule(now + k % 3, (round, k));
             }
             for _ in 0..8 {
-                q.pop().unwrap();
+                now = q.pop().unwrap().0;
             }
         }
         assert!(q.is_empty());
@@ -539,7 +504,7 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_crosses_overflow_and_late_regions() {
+    fn pop_before_crosses_the_overflow_region() {
         // Overflow entries below the limit must surface; at/after it
         // they must not, even when the bucket window is empty.
         let mut q = EventQueue::<u32>::with_horizon(8);
@@ -547,11 +512,7 @@ mod tests {
         q.schedule(2_000, 2);
         assert_eq!(q.pop_before(1_000), None);
         assert_eq!(q.pop_before(1_001), Some((1_000, 1)));
-        // Base jumped to 1000; a below-base schedule lands in the late
-        // heap and still honors the limit.
-        q.schedule(5, 0);
-        assert_eq!(q.pop_before(5), None);
-        assert_eq!(q.pop_before(6), Some((5, 0)));
+        assert_eq!(q.pop_before(2_000), None);
         assert_eq!(q.pop_before(u64::MAX), Some((2_000, 2)));
         assert_eq!(q.pop_before(u64::MAX), None);
     }

@@ -26,7 +26,8 @@ proptest! {
     /// schedules and pops — including schedules issued *while popping*,
     /// which must land behind every event already queued for that cycle
     /// (the system relies on this when a handler re-schedules work for
-    /// the cycle it is currently draining).
+    /// the cycle it is currently draining). Like the simulator, it
+    /// schedules each event at an offset from the last popped cycle.
     #[test]
     fn event_queue_fifo_under_interleaving(
         ops in proptest::collection::vec((0u64..6, 0u32..4), 1..300),
@@ -37,10 +38,11 @@ proptest! {
         let mut q = EventQueue::new();
         let mut model: BTreeMap<u64, VecDeque<usize>> = BTreeMap::new();
         let mut next_id = 0usize;
-        for &(t, kind) in &ops {
+        let mut now = 0u64;
+        for &(dt, kind) in &ops {
             if kind == 1 || kind == 2 {
-                q.schedule(t, next_id);
-                model.entry(t).or_default().push_back(next_id);
+                q.schedule(now + dt, next_id);
+                model.entry(now + dt).or_default().push_back(next_id);
                 next_id += 1;
             } else if let Some((pt, id)) = q.pop() {
                 let (&mt, fifo) = model
@@ -49,6 +51,7 @@ proptest! {
                     .expect("queue produced an event the model does not have");
                 prop_assert_eq!(pt, mt, "popped out of time order");
                 prop_assert_eq!(id, fifo.pop_front().unwrap(), "same-cycle FIFO violated");
+                now = pt;
                 if kind == 3 {
                     // Mid-drain schedule at the cycle being popped.
                     q.schedule(pt, next_id);
@@ -72,12 +75,11 @@ proptest! {
 
     /// Differential test: the calendar queue must agree, pop for pop,
     /// with a plainly-correct ordered-map model under arbitrary
-    /// interleavings of schedules and pops. Times are drawn from three
-    /// bands — inside the window, just around the horizon boundary, and
-    /// far beyond it (including past 2^53) — so bucket wraparound, the
-    /// overflow refill path, and the window-jump path all get exercised,
-    /// as do schedules issued mid-drain and schedules below the window
-    /// base after it has advanced.
+    /// interleavings of schedules and pops. Each time is an offset from
+    /// the last popped cycle, drawn from four bands — inside the window,
+    /// just around the horizon boundary, beyond it, and past 2^53 — so
+    /// bucket wraparound, the overflow refill path, and the window-jump
+    /// path all get exercised, as do schedules issued mid-drain.
     #[test]
     fn calendar_queue_matches_ordered_model(
         ops in proptest::collection::vec(
@@ -101,17 +103,19 @@ proptest! {
         let mut model: BTreeMap<(u64, u64), usize> = BTreeMap::new();
         let mut next_id = 0usize;
         let mut seq = 0u64;
-        for &(t, kind) in &ops {
+        let mut now = 0u64;
+        for &(dt, kind) in &ops {
             if kind <= 1 {
                 seq += 1;
-                q.schedule(t, next_id);
-                model.insert((t, seq), next_id);
+                q.schedule(now + dt, next_id);
+                model.insert((now + dt, seq), next_id);
                 next_id += 1;
             } else if let Some((pt, id)) = q.pop() {
                 let (&(mt, mseq), &mid) = model.iter().next()
                     .expect("queue produced an event the model does not have");
                 prop_assert_eq!((pt, id), (mt, mid), "pop diverged from model");
                 model.remove(&(mt, mseq));
+                now = pt;
                 if kind == 4 {
                     // Mid-drain schedule at the cycle just popped.
                     seq += 1;

@@ -52,7 +52,7 @@ use pei_trace::Recorder;
 use pei_types::wire::{Priority, Recipe, Request, Response, StatsFrame, TenantStat, WorkerStat};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -129,41 +129,22 @@ enum StopCause {
     Disconnect,
 }
 
-/// A job's cancellation handle: the flag the engine polls at slice
-/// boundaries, plus the cause that raised it first (for the
-/// `cancelled` vs `disconnect-cancelled` counters).
-struct JobCtl {
-    cancel: AtomicBool,
-    /// 0 = not stopped, 1 = [`StopCause::Client`], 2 =
-    /// [`StopCause::Disconnect`].
-    cause: AtomicU8,
+/// A queued or running job as the scheduler tracks it, from its ack to
+/// [`finish`].
+struct Live {
+    /// The flag [`run_bounded`] polls between slices, without the lock.
+    cancel: Arc<AtomicBool>,
+    /// What raised `cancel` first (for the `cancelled` vs
+    /// `disconnect-cancelled` totals).
+    cause: Option<StopCause>,
+    /// The submitting session, for the disconnect reap.
+    session: u64,
 }
 
-impl JobCtl {
-    fn new() -> JobCtl {
-        JobCtl {
-            cancel: AtomicBool::new(false),
-            cause: AtomicU8::new(0),
-        }
-    }
-
-    fn stop(&self, cause: StopCause) {
-        let code = match cause {
-            StopCause::Client => 1,
-            StopCause::Disconnect => 2,
-        };
-        let _ = self
-            .cause
-            .compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
+impl Live {
+    fn stop(&mut self, cause: StopCause) {
+        self.cause.get_or_insert(cause);
         self.cancel.store(true, Ordering::Relaxed);
-    }
-
-    fn cause(&self) -> Option<StopCause> {
-        match self.cause.load(Ordering::Relaxed) {
-            1 => Some(StopCause::Client),
-            2 => Some(StopCause::Disconnect),
-            _ => None,
-        }
     }
 }
 
@@ -178,7 +159,7 @@ struct Job {
     /// Test fault: panic the worker instead of running (see
     /// [`PANIC_WORKER_FAULT`]).
     panic: bool,
-    ctl: Arc<JobCtl>,
+    cancel: Arc<AtomicBool>,
     /// Wall-clock budget: the instant past which the run is abandoned,
     /// and the millisecond figure it came from (for the error message).
     deadline: Option<Instant>,
@@ -201,6 +182,9 @@ struct FrameQueue {
     cap: usize,
     /// Heartbeats coalesced or dropped on this session.
     dropped: AtomicU64,
+    /// The session's id, which the live-job map records for the
+    /// disconnect reap.
+    session: u64,
 }
 
 struct FrameQueueInner {
@@ -221,7 +205,7 @@ struct SessionTx {
 }
 
 impl SessionTx {
-    fn new(cap: usize) -> SessionTx {
+    fn new(cap: usize, session: u64) -> SessionTx {
         SessionTx {
             q: Arc::new(FrameQueue {
                 inner: Mutex::new(FrameQueueInner {
@@ -232,6 +216,7 @@ impl SessionTx {
                 ready: Condvar::new(),
                 cap: cap.max(1),
                 dropped: AtomicU64::new(0),
+                session,
             }),
         }
     }
@@ -398,22 +383,33 @@ impl Band {
     }
 }
 
-/// Everything the scheduler must keep mutually consistent — queues,
-/// worker slots, running/outstanding counts, per-tenant accounting —
-/// lives under this one mutex, so a `stats` frame is a single coherent
-/// snapshot (no `running > 0` with every slot idle).
+/// Everything the daemon's sessions and workers share — queues, worker
+/// slots, the live-job map, the totals, per-tenant accounting and the
+/// shutdown flag — lives under this one mutex, so a `stats` frame is a
+/// single coherent snapshot: `submitted` always equals `queue_depth +
+/// running` plus the five terminal totals, and the busy slots number
+/// `running`.
+#[derive(Default)]
 struct Sched {
     /// Strict bands, indexed by [`band_index`].
     bands: [Band; 3],
     slots: Vec<WorkerSlot>,
-    /// Jobs currently executing.
-    running: u64,
-    /// Queued + running jobs; `shutdown` waits (on [`Shared::drained`])
-    /// until this reaches zero.
-    outstanding: u64,
-    /// Highest queue depth ever observed (updated at enqueue).
-    high_water: u64,
+    /// Every queued or running job, by id: inserted at submit, removed
+    /// by [`finish`]. `shutdown` waits (on [`Shared::drained`]) until it
+    /// is empty.
+    live: HashMap<u64, Live>,
+    /// The `stats` frame's counters — `running`, the job totals,
+    /// `rejected`, `queue_full`, `queue_high_water` and
+    /// `dropped_progress` — kept current; [`stats_frame`] fills in the
+    /// rest.
+    stats: StatsFrame,
     tenants: HashMap<String, TenantAcct>,
+    /// Set by `shutdown` frames (and by [`Daemon`]'s drop): submits are
+    /// refused, and workers drain the queue, then exit.
+    shutdown: bool,
+    /// Ids of the last job acked and the last session opened.
+    last_job: u64,
+    last_session: u64,
 }
 
 impl Sched {
@@ -440,45 +436,11 @@ struct Shared {
     sched: Mutex<Sched>,
     /// Signals workers that a job was queued (or shutdown was set).
     ready: Condvar,
-    /// Signals the draining `shutdown` handler that
-    /// [`Sched::outstanding`] reached zero. No busy-wait: the handler
-    /// sleeps on this condvar and worker release (normal or via the
-    /// panic guard) notifies it.
+    /// Signals a draining `shutdown` that [`finish`] ended the last live
+    /// job.
     drained: Condvar,
-    /// Set by `shutdown` frames (and by [`Daemon`]'s drop), always
-    /// under the [`Sched`] lock so no submit can race past a worker's
-    /// exit check. Workers drain the queue, then exit.
-    shutdown: AtomicBool,
-    /// Cancellation handles of every queued or running job, removed on
-    /// the terminal frame; `cancel` frames and disconnect reaping look
-    /// their targets up here.
-    /// Lock order: may be taken *while holding* the `sched` lock, never
-    /// held while *acquiring* it.
-    jobs: Mutex<HashMap<u64, Arc<JobCtl>>>,
-    next_job: AtomicU64,
-    slice: u64,
-    /// Admission bound on queued jobs (`None` = unbounded).
-    max_queue: Option<u64>,
-    /// Default per-job wall-clock budget in milliseconds.
-    default_deadline_ms: Option<u64>,
-    /// Per-session writer-queue bound.
-    writer_queue: usize,
-    /// Jobs accepted (acked). After a drain, `submitted ==
-    /// completed + failed + cancelled + deadline_exceeded +
-    /// disconnect_cancelled` — the accounting partition the chaos
-    /// harness pins.
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    rejected: AtomicU64,
-    /// Subset of `rejected` turned away by admission control.
-    queue_full: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    disconnect_cancelled: AtomicU64,
-    /// Heartbeats shed across all sessions (each session also keeps its
-    /// own count in its [`FrameQueue`]).
-    dropped_progress: AtomicU64,
+    /// The configuration, with `workers` and `slice` at least 1.
+    cfg: ServeConfig,
     start: Instant,
 }
 
@@ -495,37 +457,22 @@ pub struct Daemon {
 impl Daemon {
     /// Starts the worker pool.
     pub fn start(cfg: ServeConfig) -> Daemon {
-        let workers = cfg.workers.max(1);
+        let cfg = ServeConfig {
+            workers: cfg.workers.max(1),
+            slice: cfg.slice.max(1),
+            ..cfg
+        };
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched {
-                bands: Default::default(),
-                slots: vec![WorkerSlot::default(); workers],
-                running: 0,
-                outstanding: 0,
-                high_water: 0,
-                tenants: HashMap::new(),
+                slots: vec![WorkerSlot::default(); cfg.workers],
+                ..Sched::default()
             }),
             ready: Condvar::new(),
             drained: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            jobs: Mutex::new(HashMap::new()),
-            next_job: AtomicU64::new(0),
-            slice: cfg.slice.max(1),
-            max_queue: cfg.max_queue,
-            default_deadline_ms: cfg.deadline_ms,
-            writer_queue: cfg.writer_queue,
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            queue_full: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            disconnect_cancelled: AtomicU64::new(0),
-            dropped_progress: AtomicU64::new(0),
+            cfg,
             start: Instant::now(),
         });
-        let workers = (0..workers)
+        let workers = (0..shared.cfg.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -553,7 +500,7 @@ impl Daemon {
     /// Whether a `shutdown` frame has been received (socket accept
     /// loops poll this to stop accepting).
     pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Relaxed)
+        self.shared.sched.lock().unwrap().shutdown
     }
 
     /// The daemon's current scheduler statistics (the same frame a
@@ -565,10 +512,7 @@ impl Daemon {
 
 impl Drop for Daemon {
     fn drop(&mut self) {
-        {
-            let _s = self.shared.sched.lock().unwrap();
-            self.shared.shutdown.store(true, Ordering::Relaxed);
-        }
+        self.shared.sched.lock().unwrap().shutdown = true;
         self.shared.ready.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -576,77 +520,24 @@ impl Drop for Daemon {
     }
 }
 
-/// Restores a worker's claim on the scheduler: slot freed, counters
-/// stepped, the draining shutdown handler woken if this was the last
-/// outstanding job. Shared by the normal completion path and the panic
-/// guard, so the accounting is identical whether `execute` returned or
-/// unwound.
-fn release_claim(shared: &Shared, slot: usize, tenant: &str, busy_ms: u64) {
-    let mut s = shared.sched.lock().unwrap();
-    s.slots[slot].busy = false;
-    s.slots[slot].jobs += 1;
-    s.slots[slot].busy_ms += busy_ms;
-    s.running -= 1;
-    s.outstanding -= 1;
-    s.tenants.entry(tenant.to_owned()).or_default().completed += 1;
-    if s.outstanding == 0 {
-        shared.drained.notify_all();
+/// An `error` frame without checker violations.
+fn error(job: Option<u64>, kind: &str, message: String) -> Response {
+    Response::Error {
+        job,
+        kind: kind.to_owned(),
+        message,
+        violations: Vec::new(),
     }
 }
 
-/// Armed around job execution: if the worker unwinds mid-job, the drop
-/// handler makes the job externally indistinguishable from a reported
-/// failure — the cancel-map entry is removed, a structured
-/// `worker-panic` error frame is the job's terminal frame (so clients
-/// never block on a silent job), the job counts as `failed`, and the
-/// slot/running/outstanding claim is released (so a draining `shutdown`
-/// still reaches zero and answers `bye`). Defused on normal return.
-struct PanicGuard<'a> {
-    shared: &'a Shared,
-    slot: usize,
-    id: u64,
-    tenant: String,
-    reply: SessionTx,
-    began: Instant,
-    armed: bool,
-}
-
-impl PanicGuard<'_> {
-    fn defuse(&mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for PanicGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        // Scoped: never hold the jobs lock while acquiring sched.
-        self.shared.jobs.lock().unwrap().remove(&self.id);
-        self.shared.failed.fetch_add(1, Ordering::Relaxed);
-        self.reply.send(Response::Error {
-            job: Some(self.id),
-            kind: "worker-panic".to_owned(),
-            message: format!(
-                "worker panicked while executing job {}; the job is counted as failed and the daemon keeps serving",
-                self.id
-            ),
-            violations: Vec::new(),
-        });
-        release_claim(
-            self.shared,
-            self.slot,
-            &self.tenant,
-            self.began.elapsed().as_millis() as u64,
-        );
-    }
-}
+/// The `error` kind of a job whose wall-clock budget lapsed.
+const DEADLINE_EXCEEDED: &str = "deadline-exceeded";
 
 /// Claims jobs off the shared queue until the queue is empty *and*
-/// shutdown was requested (queued work always drains). A panicking job
-/// does not kill the worker: the unwind is caught, the [`PanicGuard`]
-/// restores the claim, and the loop keeps serving.
+/// shutdown was requested (queued work always drains), and ends each
+/// through [`finish`]. A panicking job does not kill the worker:
+/// `catch_unwind` turns the unwind into the job's `worker-panic` error
+/// frame, and the loop keeps serving.
 fn worker_loop(shared: &Shared, slot: usize) {
     loop {
         let (job, tenant) = {
@@ -659,142 +550,137 @@ fn worker_loop(shared: &Shared, slot: usize) {
                         acct.waits_ms.pop_front();
                     }
                     acct.waits_ms.push_back(wait_ms);
-                    s.running += 1;
+                    s.stats.running += 1;
                     s.slots[slot].busy = true;
                     break (job, tenant);
                 }
-                if shared.shutdown.load(Ordering::Relaxed) {
+                if s.shutdown {
                     return;
                 }
                 s = shared.ready.wait(s).unwrap();
             }
         };
         let began = Instant::now();
-        let mut guard = PanicGuard {
-            shared,
-            slot,
-            id: job.id,
-            tenant: tenant.clone(),
-            reply: job.reply.clone(),
-            began,
-            armed: true,
-        };
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(shared, job);
+        let mut shed = 0;
+        let frame = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute(&job, shared.cfg.slice, &mut shed)
         }))
-        .is_err();
-        if !unwound {
-            guard.defuse();
-            release_claim(shared, slot, &tenant, began.elapsed().as_millis() as u64);
-        }
-        // On unwind the guard already released the claim (its Drop ran
-        // during the unwind, inside catch_unwind).
-        drop(guard);
+        .unwrap_or_else(|_| {
+            let message = format!(
+                "worker panicked while executing job {}; the job is counted as failed and the daemon keeps serving",
+                job.id
+            );
+            error(Some(job.id), "worker-panic", message)
+        });
+        let busy_ms = began.elapsed().as_millis() as u64;
+        finish(shared, slot, &tenant, job, busy_ms, frame, shed);
     }
 }
 
-/// Runs one job to its terminal frame. Never panics the worker on bad
-/// outcomes: they become `error` frames, cancellation becomes
-/// `cancelled`, a lapsed deadline becomes a `deadline-exceeded` error.
-/// (The [`PANIC_WORKER_FAULT`] test fault panics here on purpose, to
-/// pin the guard in [`worker_loop`].)
-fn execute(shared: &Shared, job: Job) {
-    let Job {
-        id,
-        spec,
-        capture,
-        panic,
-        ctl,
-        deadline,
-        deadline_ms,
-        reply,
-    } = job;
-    if panic {
+/// Runs one job and returns its terminal frame, counting the heartbeats
+/// its session shed into `shed`. Bad outcomes become `error` frames,
+/// cancellation becomes `cancelled`, a lapsed deadline becomes a
+/// `deadline-exceeded` error; scheduler state is [`finish`]'s. (The
+/// [`PANIC_WORKER_FAULT`] test fault panics here on purpose, to pin the
+/// `catch_unwind` in [`worker_loop`].)
+fn execute(job: &Job, slice: u64, shed: &mut u64) -> Response {
+    let id = job.id;
+    if job.panic {
         panic!("injected {PANIC_WORKER_FAULT} fault (job {id})");
     }
     let mut last_cycle = 0u64;
     let outcome = run_bounded(
-        &spec,
-        capture.is_some().then(Recorder::new),
-        shared.slice,
-        &ctl.cancel,
-        deadline,
+        &job.spec,
+        job.capture.is_some().then(Recorder::new),
+        slice,
+        &job.cancel,
+        job.deadline,
         |cycle| {
             last_cycle = cycle;
-            if !reply.send_progress(id, cycle) {
-                shared.dropped_progress.fetch_add(1, Ordering::Relaxed);
+            if !job.reply.send_progress(id, cycle) {
+                *shed += 1;
             }
         },
     );
-    let mut trace_path = None;
-    let outcome = match (outcome, capture) {
-        (Ok((result, Some(mut rec))), Some((cs, path))) => {
-            let bytes = cs.seal(&result, &mut rec).to_bytes();
-            match std::fs::write(&path, bytes) {
-                Ok(()) => {
-                    trace_path = Some(path);
-                    Ok(result)
-                }
-                Err(e) => {
-                    shared.jobs.lock().unwrap().remove(&id);
-                    shared.failed.fetch_add(1, Ordering::Relaxed);
-                    reply.send(Response::Error {
-                        job: Some(id),
-                        kind: "trace-io".to_owned(),
-                        message: format!("can't write trace `{path}`: {e}"),
-                        violations: Vec::new(),
-                    });
-                    return;
-                }
-            }
-        }
-        (outcome, _) => outcome.map(|(result, _)| result),
-    };
-    shared.jobs.lock().unwrap().remove(&id);
     match outcome {
-        Err(Stopped::Cancelled) => {
-            match ctl.cause() {
-                Some(StopCause::Disconnect) => {
-                    shared.disconnect_cancelled.fetch_add(1, Ordering::Relaxed);
+        Err(Stopped::Cancelled) => Response::Cancelled {
+            job: id,
+            cycle: last_cycle,
+        },
+        Err(Stopped::DeadlineExceeded) => error(
+            Some(id),
+            DEADLINE_EXCEEDED,
+            format!(
+                "job {id} exceeded its {} ms wall-clock deadline at cycle {last_cycle}; \
+                 the run stopped at a slice boundary and cached state is untouched",
+                job.deadline_ms.unwrap_or(0)
+            ),
+        ),
+        Ok((result, rec)) => {
+            let mut trace_path = None;
+            if let (Some(mut rec), Some((cs, path))) = (rec, &job.capture) {
+                let bytes = cs.seal(&result, &mut rec).to_bytes();
+                if let Err(e) = std::fs::write(path, bytes) {
+                    return error(
+                        Some(id),
+                        "trace-io",
+                        format!("can't write trace `{path}`: {e}"),
+                    );
                 }
-                _ => {
-                    shared.cancelled.fetch_add(1, Ordering::Relaxed);
-                }
+                trace_path = Some(path.clone());
             }
-            reply.send(Response::Cancelled {
-                job: id,
-                cycle: last_cycle,
-            });
-        }
-        Err(Stopped::DeadlineExceeded) => {
-            shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            let ms = deadline_ms.unwrap_or(0);
-            reply.send(Response::Error {
-                job: Some(id),
-                kind: "deadline-exceeded".to_owned(),
-                message: format!(
-                    "job {id} exceeded its {ms} ms wall-clock deadline at cycle {}; \
-                     the run stopped at a slice boundary and cached state is untouched",
-                    last_cycle
-                ),
-                violations: Vec::new(),
-            });
-        }
-        Ok(result) => match result.outcome.report() {
-            Some(report) => {
-                shared.failed.fetch_add(1, Ordering::Relaxed);
-                reply.send(Response::Error {
+            match result.outcome.report() {
+                Some(report) => Response::Error {
                     job: Some(id),
                     kind: report.kind.label().to_owned(),
                     message: report.summary(),
                     violations: report.violations.iter().map(|v| v.to_string()).collect(),
-                });
+                },
+                None => Response::Result(result_frame(id, &result, trace_path)),
             }
-            None => {
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-                reply.send(Response::Result(result_frame(id, &result, trace_path)));
-            }
-        },
+        }
+    }
+}
+
+/// Ends a job in one critical section: drops its live entry, counts it
+/// in exactly one total (chosen from its terminal frame and, for a
+/// cancellation, the first stop cause), queues that frame, frees the
+/// worker's slot, and wakes a draining `shutdown` when no job is left.
+fn finish(
+    shared: &Shared,
+    slot: usize,
+    tenant: &str,
+    job: Job,
+    busy_ms: u64,
+    frame: Response,
+    shed: u64,
+) {
+    let mut s = shared.sched.lock().unwrap();
+    let cause = s.live.remove(&job.id).and_then(|live| live.cause);
+    let total = match (&frame, cause) {
+        (Response::Result(_), _) => &mut s.stats.completed,
+        (Response::Cancelled { .. }, Some(StopCause::Disconnect)) => {
+            &mut s.stats.disconnect_cancelled
+        }
+        (Response::Cancelled { .. }, _) => &mut s.stats.cancelled,
+        (Response::Error { kind, .. }, _) if kind == DEADLINE_EXCEEDED => {
+            &mut s.stats.deadline_exceeded
+        }
+        _ => &mut s.stats.failed,
+    };
+    *total += 1;
+    s.stats.running -= 1;
+    s.stats.dropped_progress += shed;
+    job.reply.send(frame);
+    let w = &mut s.slots[slot];
+    w.busy = false;
+    w.jobs += 1;
+    w.busy_ms += busy_ms;
+    if let Some(acct) = s.tenants.get_mut(tenant) {
+        acct.completed += 1;
+    }
+    if s.live.is_empty() {
+        shared.drained.notify_all();
     }
 }
 
@@ -807,12 +693,28 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 }
 
 fn stats_frame(shared: &Shared) -> StatsFrame {
-    // One lock: queue depth, running, the worker slots, and the tenant
-    // table are a single coherent snapshot (a frame can never report
-    // `running > 0` with every slot idle).
-    let (queue_depth, running, high_water, workers, mut tenants) = {
-        let s = shared.sched.lock().unwrap();
-        let workers: Vec<WorkerStat> = s
+    let graph_cache_entries = pei_workloads::cache::len() as u64;
+    let s = shared.sched.lock().unwrap();
+    let mut tenants: Vec<TenantStat> = s
+        .tenants
+        .iter()
+        .map(|(name, acct)| {
+            let mut waits: Vec<u64> = acct.waits_ms.iter().copied().collect();
+            waits.sort_unstable();
+            TenantStat {
+                tenant: name.clone(),
+                submitted: acct.submitted,
+                completed: acct.completed,
+                wait_p50_ms: percentile(&waits, 50),
+                wait_p95_ms: percentile(&waits, 95),
+            }
+        })
+        .collect();
+    tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
+    StatsFrame {
+        queue_depth: s.queue_depth(),
+        uptime_ms: shared.start.elapsed().as_millis() as u64,
+        workers: s
             .slots
             .iter()
             .map(|w| WorkerStat {
@@ -820,58 +722,27 @@ fn stats_frame(shared: &Shared) -> StatsFrame {
                 busy: w.busy,
                 busy_ms: w.busy_ms,
             })
-            .collect();
-        let tenants: Vec<TenantStat> = s
-            .tenants
-            .iter()
-            .map(|(name, acct)| {
-                let mut waits: Vec<u64> = acct.waits_ms.iter().copied().collect();
-                waits.sort_unstable();
-                TenantStat {
-                    tenant: name.clone(),
-                    submitted: acct.submitted,
-                    completed: acct.completed,
-                    wait_p50_ms: percentile(&waits, 50),
-                    wait_p95_ms: percentile(&waits, 95),
-                }
-            })
-            .collect();
-        (s.queue_depth(), s.running, s.high_water, workers, tenants)
-    };
-    tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-    StatsFrame {
-        queue_depth,
-        running,
-        submitted: shared.submitted.load(Ordering::Relaxed),
-        completed: shared.completed.load(Ordering::Relaxed),
-        failed: shared.failed.load(Ordering::Relaxed),
-        cancelled: shared.cancelled.load(Ordering::Relaxed),
-        rejected: shared.rejected.load(Ordering::Relaxed),
-        queue_full: shared.queue_full.load(Ordering::Relaxed),
-        deadline_exceeded: shared.deadline_exceeded.load(Ordering::Relaxed),
-        disconnect_cancelled: shared.disconnect_cancelled.load(Ordering::Relaxed),
-        queue_high_water: high_water,
-        dropped_progress: shared.dropped_progress.load(Ordering::Relaxed),
-        // Meaningful only inside a session (each fills in its own).
-        session_dropped_progress: 0,
-        uptime_ms: shared.start.elapsed().as_millis() as u64,
-        workers,
+            .collect(),
         tenants,
-        graph_cache_entries: pei_workloads::cache::len() as u64,
+        graph_cache_entries,
+        ..s.stats.clone()
     }
 }
 
-/// Cancels (through the ordinary cancellation path) every still-live
-/// job in `ids` — the disconnect reap. Jobs already terminal are gone
-/// from the map and unaffected; first-cause-wins in [`JobCtl`] keeps a
-/// racing client `cancel` counted as a client cancel.
-fn reap_session(shared: &Shared, ids: &Mutex<Vec<u64>>) {
-    let ids = ids.lock().unwrap();
-    let jobs = shared.jobs.lock().unwrap();
-    for id in ids.iter() {
-        if let Some(ctl) = jobs.get(id) {
-            ctl.stop(StopCause::Disconnect);
-        }
+/// Refuses a request before it becomes a job: a job-less `error` frame,
+/// counted in `rejected`.
+fn reject(s: &mut Sched, tx: &SessionTx, kind: &str, message: String) {
+    s.stats.rejected += 1;
+    tx.send(error(None, kind, message));
+}
+
+/// Cancels, through the ordinary cancellation path, every live job of
+/// `session` — the disconnect reap. The first cause wins, so a job a
+/// client `cancel` already stopped stays a client cancel.
+fn reap_session(shared: &Shared, session: u64) {
+    let mut s = shared.sched.lock().unwrap();
+    for live in s.live.values_mut().filter(|l| l.session == session) {
+        live.stop(StopCause::Disconnect);
     }
 }
 
@@ -885,18 +756,20 @@ fn serve_session<R: BufRead, W: Write + Send + 'static>(
     reader: R,
     writer: W,
 ) {
-    let tx = SessionTx::new(shared.writer_queue);
-    // Every job id this session submitted, for the disconnect reap
-    // (shared with the writer thread, which reaps on transport failure
-    // even while the reader is still blocked on a half-open peer).
-    let session_jobs = Arc::new(Mutex::new(Vec::<u64>::new()));
+    let session = {
+        let mut s = shared.sched.lock().unwrap();
+        s.last_session += 1;
+        s.last_session
+    };
+    let tx = SessionTx::new(shared.cfg.writer_queue, session);
     let writer_thread = {
         let q = Arc::clone(&tx.q);
         let shared = Arc::clone(shared);
-        let ids = Arc::clone(&session_jobs);
         std::thread::spawn(move || {
+            // Reaps on transport failure even while the reader is still
+            // blocked on a half-open peer.
             if !writer_loop(&q, writer) {
-                reap_session(&shared, &ids);
+                reap_session(&shared, q.session);
             }
         })
     };
@@ -907,41 +780,30 @@ fn serve_session<R: BufRead, W: Write + Send + 'static>(
             continue;
         }
         match Request::decode(&line) {
-            Err(e) => {
-                // A malformed line poisons only itself: report the
-                // offset and keep reading.
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
-                tx.send(Response::Error {
-                    job: None,
-                    kind: "bad-frame".to_owned(),
-                    message: e.to_string(),
-                    violations: Vec::new(),
-                });
-            }
+            // A malformed line poisons only itself: report the offset
+            // and keep reading.
+            Err(e) => reject(
+                &mut shared.sched.lock().unwrap(),
+                &tx,
+                "bad-frame",
+                e.to_string(),
+            ),
             Ok(Request::Submit {
                 recipe,
                 trace,
                 tenant,
                 priority,
                 deadline_ms,
-            }) => {
-                if let Some(id) = submit(shared, &tx, &recipe, trace, tenant, priority, deadline_ms)
-                {
-                    session_jobs.lock().unwrap().push(id);
-                }
-            }
+            }) => submit(shared, &tx, &recipe, trace, tenant, priority, deadline_ms),
             Ok(Request::Cancel { job }) => {
-                let ctl = shared.jobs.lock().unwrap().get(&job).map(Arc::clone);
-                match ctl {
-                    Some(ctl) => ctl.stop(StopCause::Client),
-                    None => {
-                        tx.send(Response::Error {
-                            job: Some(job),
-                            kind: "unknown-job".to_owned(),
-                            message: format!("no queued or running job {job}"),
-                            violations: Vec::new(),
-                        });
-                    }
+                let mut s = shared.sched.lock().unwrap();
+                match s.live.get_mut(&job) {
+                    Some(live) => live.stop(StopCause::Client),
+                    None => tx.send(error(
+                        Some(job),
+                        "unknown-job",
+                        format!("no queued or running job {job}"),
+                    )),
                 }
             }
             Ok(Request::Stats) => {
@@ -950,19 +812,15 @@ fn serve_session<R: BufRead, W: Write + Send + 'static>(
                 tx.send(Response::Stats(frame));
             }
             Ok(Request::Shutdown) => {
-                // Stop accepting (flag set under the sched lock so no
-                // submit can race past a worker's exit check), then
-                // sleep until the workers report the last outstanding
-                // job done — a condvar wait, not a poll loop, and
-                // panic-proof because the guard releases claims on
-                // unwind too.
-                {
-                    let _s = shared.sched.lock().unwrap();
-                    shared.shutdown.store(true, Ordering::Relaxed);
-                }
-                shared.ready.notify_all();
+                // Stop accepting (under the lock, so no submit can race
+                // past a worker's exit check), then sleep until `finish`
+                // ends the last live job — a condvar wait, not a poll
+                // loop, and panic-proof because a panicking job ends
+                // through `finish` too.
                 let mut s = shared.sched.lock().unwrap();
-                while s.outstanding > 0 {
+                s.shutdown = true;
+                shared.ready.notify_all();
+                while !s.live.is_empty() {
                     s = shared.drained.wait(s).unwrap();
                 }
                 drop(s);
@@ -976,7 +834,7 @@ fn serve_session<R: BufRead, W: Write + Send + 'static>(
         // The client went away (EOF or a read error) without a clean
         // shutdown: cancel its orphaned work so queued and in-flight
         // jobs stop burning worker slots.
-        reap_session(shared, &session_jobs);
+        reap_session(shared, session);
     }
     // Per-job sender clones keep the writer alive until every job this
     // session submitted has reported; joining here means a returned
@@ -985,31 +843,23 @@ fn serve_session<R: BufRead, W: Write + Send + 'static>(
     let _ = writer_thread.join();
 }
 
-/// Handles one `submit` frame: admission-check, resolve, ack, enqueue
-/// into the tenant's sub-queue of the requested band. Returns the job
-/// id when the submission was accepted (acked), `None` when rejected.
+/// Handles one `submit` frame: resolve, admission-check, ack, and
+/// enqueue into the tenant's sub-queue of the requested band.
 fn submit(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     tx: &SessionTx,
     recipe: &Recipe,
     trace: Option<String>,
     tenant: Option<String>,
     priority: Priority,
     deadline_ms: Option<u64>,
-) -> Option<u64> {
-    let reject = |kind: &str, message: String| {
-        shared.rejected.fetch_add(1, Ordering::Relaxed);
-        tx.send(Response::Error {
-            job: None,
-            kind: kind.to_owned(),
-            message,
-            violations: Vec::new(),
-        });
-        None
+) {
+    let refuse = |kind: &str, message: String| {
+        reject(&mut shared.sched.lock().unwrap(), tx, kind, message);
     };
     let tenant = tenant.unwrap_or_else(|| DEFAULT_TENANT.to_owned());
     if tenant.is_empty() || tenant.len() > 128 {
-        return reject(
+        return refuse(
             "bad-recipe",
             "`tenant` must be 1..=128 bytes (omit it for the default tenant)".to_owned(),
         );
@@ -1026,13 +876,13 @@ fn submit(
     }
     let spec = match resolve_recipe(&recipe) {
         Ok(spec) => spec,
-        Err(e) => return reject("bad-recipe", e),
+        Err(e) => return refuse("bad-recipe", e),
     };
     let capture = match trace {
         None => None,
         Some(path) => match resolve_capture(&recipe) {
             Ok(cs) => Some((cs, path)),
-            Err(e) => return reject("bad-recipe", e),
+            Err(e) => return refuse("bad-recipe", e),
         },
     };
     // Ack and enqueue under the sched lock: a worker can't pop the job
@@ -1041,28 +891,36 @@ fn submit(
     // stranded in the queue after the workers exit), and the admission
     // check can't race another submit past the bound.
     let mut s = shared.sched.lock().unwrap();
-    if shared.shutdown.load(Ordering::Relaxed) {
-        drop(s);
-        return reject("shutting-down", "the daemon is draining".to_owned());
+    if s.shutdown {
+        return reject(
+            &mut s,
+            tx,
+            "shutting-down",
+            "the daemon is draining".to_owned(),
+        );
     }
-    if let Some(max) = shared.max_queue {
-        if s.queue_depth() >= max {
-            drop(s);
-            shared.queue_full.fetch_add(1, Ordering::Relaxed);
-            return reject(
-                "queue-full",
-                format!("the queue is at its bound ({max} jobs); resubmit once backlog drains"),
-            );
-        }
+    if let Some(max) = shared.cfg.max_queue.filter(|&max| s.queue_depth() >= max) {
+        s.stats.queue_full += 1;
+        return reject(
+            &mut s,
+            tx,
+            "queue-full",
+            format!("the queue is at its bound ({max} jobs); resubmit once backlog drains"),
+        );
     }
-    let id = shared.next_job.fetch_add(1, Ordering::Relaxed) + 1;
-    let ctl = Arc::new(JobCtl::new());
-    shared.jobs.lock().unwrap().insert(id, Arc::clone(&ctl));
-    s.outstanding += 1;
+    s.last_job += 1;
+    let id = s.last_job;
+    let cancel = Arc::new(AtomicBool::new(false));
+    let live = Live {
+        cancel: Arc::clone(&cancel),
+        cause: None,
+        session: tx.q.session,
+    };
+    s.live.insert(id, live);
+    s.stats.submitted += 1;
     s.tenants.entry(tenant.clone()).or_default().submitted += 1;
-    shared.submitted.fetch_add(1, Ordering::Relaxed);
     // The wall-clock budget runs from the ack.
-    let deadline_ms = deadline_ms.or(shared.default_deadline_ms);
+    let deadline_ms = deadline_ms.or(shared.cfg.deadline_ms);
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     tx.send(Response::Ack { job: id });
     s.bands[band_index(priority)].push(
@@ -1072,17 +930,14 @@ fn submit(
             spec,
             capture,
             panic,
-            ctl,
+            cancel,
             deadline,
             deadline_ms,
             reply: tx.clone(),
         },
     );
     let depth = s.queue_depth();
-    if depth > s.high_water {
-        s.high_water = depth;
-    }
+    s.stats.queue_high_water = s.stats.queue_high_water.max(depth);
     drop(s);
     shared.ready.notify_one();
-    Some(id)
 }

@@ -8,8 +8,12 @@
 //! ```
 //!
 //! Submit work with `pei-sim --submit <socket-path|host:port> ...` or by
-//! writing newline-delimited JSON request frames (DESIGN.md §12).
+//! writing newline-delimited JSON request frames (DESIGN.md §12). Flags
+//! are read by `pei_bench::cli`: a bad one, or a socket that cannot be
+//! bound, prints `error: …` and exits with status 2.
 
+use pei_bench::cli::{self, fail};
+use pei_bench::ExpOptions;
 use pei_serve::{Daemon, ServeConfig};
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::TcpListener;
@@ -104,52 +108,34 @@ fn main() {
     let mut socket: Option<String> = None;
     let mut tcp: Option<String> = None;
     let mut stdio = false;
-    let mut workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut slice: u64 = 1_000_000;
-    let mut max_queue: u64 = pei_serve::DEFAULT_MAX_QUEUE;
-    let mut deadline_ms: u64 = 0;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--socket" => socket = Some(value("--socket")),
-            "--tcp" => tcp = Some(value("--tcp")),
-            "--stdio" => stdio = true,
-            "--workers" => workers = parse(&value("--workers"), "--workers"),
-            "--slice" => slice = parse(&value("--slice"), "--slice"),
-            "--max-queue" => max_queue = parse(&value("--max-queue"), "--max-queue"),
-            "--deadline-ms" => deadline_ms = parse(&value("--deadline-ms"), "--deadline-ms"),
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return;
-            }
-            other => fail(&format!("unknown argument `{other}`")),
-        }
-    }
-    let listening = socket.is_some() || tcp.is_some();
-    if stdio == listening {
-        fail("pick --stdio, or at least one of --socket PATH / --tcp ADDR");
-    }
-
-    let cfg = ServeConfig {
-        workers,
-        slice,
-        max_queue: if max_queue == 0 {
-            None
-        } else {
-            Some(max_queue)
-        },
-        deadline_ms: if deadline_ms == 0 {
-            None
-        } else {
-            Some(deadline_ms)
-        },
+    let mut cfg = ServeConfig {
+        workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         ..ServeConfig::default()
     };
+    cli::parse_env(USAGE, &[], &mut ExpOptions::default(), |arg, args| {
+        match arg {
+            "--socket" => socket = Some(args.value()?),
+            "--tcp" => tcp = Some(args.value()?),
+            "--stdio" => stdio = true,
+            "--workers" => cfg.workers = args.count()?,
+            "--slice" => cfg.slice = args.int()?,
+            "--max-queue" => cfg.max_queue = Some(args.int()?).filter(|&n| n > 0),
+            "--deadline-ms" => cfg.deadline_ms = Some(args.int()?).filter(|&n| n > 0),
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                std::process::exit(0);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
+    let listening = socket.is_some() || tcp.is_some();
+    if stdio == listening {
+        fail(&format!(
+            "pick --stdio, or at least one of --socket PATH / --tcp ADDR\n\n{USAGE}"
+        ));
+    }
+
     if stdio {
         let daemon = Daemon::start(cfg);
         let stdin = std::io::stdin();
@@ -191,14 +177,4 @@ fn main() {
     if let Some(path) = &socket {
         let _ = std::fs::remove_file(path);
     }
-}
-
-fn parse<T: std::str::FromStr>(s: &str, name: &str) -> T {
-    s.parse()
-        .unwrap_or_else(|_| fail(&format!("{name} got `{s}`, expected a number")))
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("pei-serve: {msg}\n\n{USAGE}");
-    std::process::exit(2);
 }

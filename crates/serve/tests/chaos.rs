@@ -410,6 +410,17 @@ fn storm(daemon: &Arc<Daemon>, connect: &(dyn Fn() -> Conn + Sync), lossy_tails:
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let s = daemon.stats();
+        assert_eq!(
+            s.submitted,
+            s.queue_depth
+                + s.running
+                + s.completed
+                + s.failed
+                + s.cancelled
+                + s.deadline_exceeded
+                + s.disconnect_cancelled,
+            "every snapshot balances, drained or not: {s:?}"
+        );
         if s.queue_depth == 0 && s.running == 0 {
             break;
         }

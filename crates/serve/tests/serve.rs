@@ -682,6 +682,58 @@ fn a_panicking_worker_reports_the_job_failed_and_the_daemon_drains() {
 }
 
 #[test]
+fn every_stats_snapshot_balances_while_jobs_finish() {
+    // Two workers end 30 short jobs while the test thread polls `stats`
+    // as fast as it can. A job is queued, running or ended in exactly
+    // one total in every snapshot: never counted twice while it
+    // finishes, never held by more slots than there are workers.
+    const WORKERS: u64 = 2;
+    let daemon = Arc::new(Daemon::start(sliced_config(WORKERS as usize)));
+    let script: Vec<_> = (0..30)
+        .map(|i| {
+            let mut r = quick_recipe("la");
+            r.budget = Some(300 + i % 5);
+            submit(r)
+        })
+        .chain([(0, Request::Shutdown)])
+        .collect();
+    let session = {
+        let daemon = Arc::clone(&daemon);
+        std::thread::spawn(move || run_session(&daemon, script))
+    };
+    let (mut polls, mut broken, mut first_broken) = (0u64, 0u64, None);
+    while !session.is_finished() {
+        let s = daemon.stats();
+        polls += 1;
+        let accounted = s.queue_depth
+            + s.running
+            + s.completed
+            + s.failed
+            + s.cancelled
+            + s.deadline_exceeded
+            + s.disconnect_cancelled;
+        let busy = s.workers.iter().filter(|w| w.busy).count() as u64;
+        if accounted != s.submitted || s.running > WORKERS || busy != s.running {
+            broken += 1;
+            first_broken.get_or_insert(s);
+        }
+    }
+    let responses = session.join().unwrap();
+    assert_eq!(
+        broken, 0,
+        "{broken} of {polls} snapshots broke the partition; the first: {first_broken:?}"
+    );
+    for job in 1..=30 {
+        assert!(
+            matches!(terminal_for(&responses, job), Response::Result(_)),
+            "job {job} completed"
+        );
+    }
+    let s = daemon.stats();
+    assert_eq!((s.submitted, s.completed, s.running), (30, 30, 0));
+}
+
+#[test]
 fn tenants_drain_round_robin_within_bands_and_high_priority_preempts_the_queue() {
     // One worker; a filler job pins it while the backlog builds, so the
     // drain order is decided purely by the scheduler: tenant a queues
