@@ -46,6 +46,7 @@ use pei_bench::{check_writable, ExpOptions};
 use pei_core::DispatchPolicy;
 use pei_system::CheckConfig;
 use pei_trace::Recorder;
+use pei_types::json::Json;
 use pei_workloads::{InputSize, Workload};
 
 /// The fixed mix: one graph, one analytics, and one ML workload, each
@@ -115,8 +116,8 @@ fn record_json(args: &Args, runs: &[Measured]) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
-        "  {{\n    \"label\": \"{}\",\n    \"scale\": \"{scale}\",\n    \"paper\": {},\n    \"seed\": {},\n    \"traced\": {},\n    \"checked\": {},\n    \"runs\": [",
-        args.label,
+        "  {{\n    \"label\": {},\n    \"scale\": \"{scale}\",\n    \"paper\": {},\n    \"seed\": {},\n    \"traced\": {},\n    \"checked\": {},\n    \"runs\": [",
+        Json::from(args.label.as_str()).encode(),
         args.opts.paper_machine,
         args.opts.seed,
         args.traced,
@@ -249,4 +250,31 @@ fn main() {
         cy as f64 / wall,
     );
     write_record(&args, &runs);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn record_escapes_its_label() {
+        let label = r#"say "hi" \ bye"#;
+        let args = Args {
+            opts: ExpOptions::default(),
+            repeat: 1,
+            label: label.into(),
+            out: String::new(),
+            append: false,
+            traced: false,
+        };
+        let run = Measured {
+            workload: "ATF",
+            policy: "host-only",
+            events: 10,
+            sim_cycles: 20,
+            wall_s: 0.5,
+        };
+        let record = Json::parse(&record_json(&args, &[run])).expect("the record is JSON");
+        assert_eq!(record.get("label").and_then(Json::as_str), Some(label));
+    }
 }

@@ -466,9 +466,6 @@ pub(crate) fn failure_warnings(
         for v in &report.violations {
             let _ = writeln!(w, "  {v}");
         }
-        if !report.diagnosis.is_empty() {
-            let _ = writeln!(w, "  diagnosis: {}", report.diagnosis.trim_end());
-        }
         for (name, n) in &report.occupancies {
             let _ = writeln!(w, "  {name} = {n}");
         }

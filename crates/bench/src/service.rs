@@ -16,9 +16,7 @@
 //!   capture run the same way with an event tracer attached.
 
 use crate::runner::RunSpec;
-use crate::tracecap::{
-    parse_policy_short, parse_size, parse_workload, policy_name, size_name, CaptureSpec,
-};
+use crate::tracecap::{parse_policy_short, parse_size, parse_workload, policy_name, CaptureSpec};
 use crate::Scale;
 use pei_system::{FaultKind, FaultPlan, RunResult, RunStatus};
 use pei_trace::Recorder;
@@ -36,36 +34,9 @@ pub enum Stopped {
     DeadlineExceeded,
 }
 
-/// Wire name of a fault kind (`wedge-vault`, `leak-mshr`, …).
-pub fn fault_kind_name(k: FaultKind) -> &'static str {
-    match k {
-        FaultKind::WedgeVault => "wedge-vault",
-        FaultKind::LeakMshr => "leak-mshr",
-        FaultKind::CorruptLine => "corrupt-line",
-        FaultKind::LeakDirLock => "leak-dir-lock",
-        FaultKind::LeakLinkCredit => "leak-link-credit",
-        FaultKind::OverfillPcu => "overfill-pcu",
-        FaultKind::RogueXbarMessage => "rogue-xbar-message",
-        FaultKind::DropEvent => "drop-event",
-        FaultKind::DelayEvent => "delay-event",
-    }
-}
-
-/// Inverse of [`fault_kind_name`].
+/// Inverse of [`FaultKind::name`].
 pub fn parse_fault_kind(s: &str) -> Option<FaultKind> {
-    [
-        FaultKind::WedgeVault,
-        FaultKind::LeakMshr,
-        FaultKind::CorruptLine,
-        FaultKind::LeakDirLock,
-        FaultKind::LeakLinkCredit,
-        FaultKind::OverfillPcu,
-        FaultKind::RogueXbarMessage,
-        FaultKind::DropEvent,
-        FaultKind::DelayEvent,
-    ]
-    .into_iter()
-    .find(|&k| fault_kind_name(k) == s)
+    FaultKind::ALL.into_iter().find(|k| k.name() == s)
 }
 
 /// Validates a wire recipe into a runnable [`RunSpec`]: the cell of
@@ -146,11 +117,11 @@ fn capture_spec(recipe: &Recipe) -> Result<CaptureSpec, String> {
 /// The wire recipe of `spec`: the inverse of the recipe →
 /// [`CaptureSpec`] step, so [`resolve_recipe`] of it is
 /// `spec.to_run_spec()`. Names are the canonical ones (the figure
-/// label, [`size_name`], [`policy_name`]).
+/// label, the size's `Display`, [`policy_name`]).
 pub fn recipe(spec: &CaptureSpec) -> Recipe {
     let mut r = Recipe::new(
         spec.workload.label(),
-        size_name(spec.size),
+        &spec.size.to_string(),
         policy_name(spec.policy),
     );
     r.scale = spec.scale.name().to_owned();
@@ -312,8 +283,8 @@ mod tests {
         assert_eq!(plan.seed(), 11);
         assert_eq!(plan.kinds(), [FaultKind::LeakMshr, FaultKind::WedgeVault]);
         // Names round-trip for every kind.
-        for k in plan.kinds() {
-            assert_eq!(parse_fault_kind(fault_kind_name(*k)), Some(*k));
+        for k in FaultKind::ALL {
+            assert_eq!(parse_fault_kind(k.name()), Some(k));
         }
     }
 

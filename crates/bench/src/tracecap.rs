@@ -57,18 +57,10 @@ pub fn parse_policy_short(s: &str) -> Option<DispatchPolicy> {
     }
 }
 
-/// Trace-metadata name of an input size.
-pub fn size_name(s: InputSize) -> &'static str {
-    match s {
-        InputSize::Small => "small",
-        InputSize::Medium => "medium",
-        InputSize::Large => "large",
-    }
-}
-
-/// Inverse of [`size_name`].
+/// Parses an input size by its trace-metadata name, the size's
+/// `Display` (`small|medium|large`).
 pub fn parse_size(s: &str) -> Option<InputSize> {
-    InputSize::ALL.into_iter().find(|&x| size_name(x) == s)
+    InputSize::ALL.into_iter().find(|x| x.to_string() == s)
 }
 
 /// Parses a workload by its figure label (`ATF`, `HJ`, …),
@@ -115,7 +107,7 @@ impl std::fmt::Display for CaptureSpec {
             f,
             "{}/{}/{} ({}{}, seed {}",
             self.workload.label(),
-            size_name(self.size),
+            self.size,
             policy_name(self.policy),
             self.scale.name(),
             if self.paper_machine { ", paper" } else { "" },
@@ -199,7 +191,7 @@ impl CaptureSpec {
     /// `spec.*` keys.
     pub fn write_meta(&self, rec: &mut Recorder) {
         rec.meta("spec.workload", self.workload.label());
-        rec.meta("spec.size", size_name(self.size));
+        rec.meta("spec.size", &self.size.to_string());
         rec.meta("spec.policy", policy_name(self.policy));
         rec.meta("spec.scale", self.scale.name());
         rec.meta("spec.paper", if self.paper_machine { "1" } else { "0" });
@@ -337,7 +329,7 @@ mod tests {
         assert_eq!(parse_workload("atf"), Some(Workload::Atf));
         assert_eq!(parse_workload("nope"), None);
         for s in InputSize::ALL {
-            assert_eq!(parse_size(size_name(s)), Some(s));
+            assert_eq!(parse_size(&s.to_string()), Some(s));
         }
         for p in DispatchPolicy::ALL {
             assert_eq!(parse_policy(policy_name(p)), Some(p));

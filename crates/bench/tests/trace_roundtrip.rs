@@ -111,6 +111,49 @@ fn different_policies_produce_divergent_traces() {
     );
 }
 
+/// 64-bit FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the captured event stream across commits: every record, its
+/// order, and the component and kind name tables. Replay and the golden
+/// stats digests compare within one commit or only the final counters,
+/// so a reordered record or a renamed kind passes both; it fails here.
+/// A change that alters simulated timing on purpose updates these
+/// constants and says so, as it does the golden digests.
+#[test]
+fn pinned_captures_keep_their_bytes() {
+    let cells = [
+        (
+            Workload::Atf,
+            DispatchPolicy::LocalityAware,
+            0x7792_7f39_0487_d324,
+        ),
+        (Workload::Sc, DispatchPolicy::PimOnly, 0x4dbd_6e74_bb1b_2513),
+        (
+            Workload::Hj,
+            DispatchPolicy::LocalityAwareBalanced,
+            0x1a0c_26d1_0723_cf97,
+        ),
+    ];
+    for (workload, policy, want) in cells {
+        let spec = CaptureSpec {
+            workload,
+            size: InputSize::Small,
+            policy,
+            seed: 7,
+            pei_budget: Some(2_000),
+            ..CaptureSpec::default()
+        };
+        let (_, trace) = spec.capture();
+        let got = fnv1a(&trace.to_bytes());
+        assert_eq!(got, want, "{spec}: capture hashes to {got:#018x}");
+    }
+}
+
 /// The fig6 `--trace` representative cell at full quick scale: the same
 /// capture CI's trace-smoke job makes. Slower (~quick-scale run, twice),
 /// hence ignored by default; CI and `cargo test -- --ignored` run it.

@@ -190,7 +190,6 @@ struct PmuCounters {
     host_dispatched: CounterId,
     mem_dispatched: CounterId,
     balanced_overrides: CounterId,
-    bd_dither: CounterId,
     pfences: CounterId,
 }
 
@@ -200,7 +199,6 @@ impl PmuCounters {
             host_dispatched: c.register("host_dispatched"),
             mem_dispatched: c.register("mem_dispatched"),
             balanced_overrides: c.register("balanced_overrides"),
-            bd_dither: c.register("bd_dither"),
             pfences: c.register("pfences"),
         }
     }
@@ -217,6 +215,9 @@ pub struct Pmu {
     fence_waiters: Vec<CoreId>,
     /// Reusable buffer for directory grants (cleared after each release).
     grant_scratch: Vec<(ReqId, bool)>,
+    /// Host overrides balanced dispatch has proposed; its parity
+    /// dithers them 1-in-2.
+    bd_dither: u64,
     counters: Counters,
     c: PmuCounters,
 }
@@ -236,6 +237,7 @@ impl Pmu {
             outstanding_writers: 0,
             fence_waiters: Vec::new(),
             grant_scratch: Vec::new(),
+            bd_dither: 0,
             counters,
             c,
             cfg,
@@ -358,8 +360,8 @@ impl Pmu {
                         // undithered overrides come in long runs that fill
                         // the operand buffers with slow host executions;
                         // interleaving keeps the mix fine-grained.
-                        self.counters.inc(self.c.bd_dither);
-                        mem = !self.counters.get(self.c.bd_dither).is_multiple_of(2);
+                        self.bd_dither += 1;
+                        mem = !self.bd_dither.is_multiple_of(2);
                         if !mem {
                             self.counters.inc(self.c.balanced_overrides);
                         }
@@ -463,9 +465,7 @@ impl Pmu {
 
     /// Dumps statistics under `prefix`.
     pub fn report(&self, prefix: &str, stats: &mut StatsReport) {
-        // `bd_dither` is an internal dithering phase, not a published stat.
-        self.counters
-            .flush_if(prefix, stats, |name| name != "bd_dither");
+        self.counters.flush(prefix, stats);
         let (grants, queued, peak) = self.dir.stats();
         stats.add(format!("{prefix}dir.grants"), grants as f64);
         stats.add(format!("{prefix}dir.queued"), queued as f64);

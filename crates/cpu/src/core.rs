@@ -180,7 +180,6 @@ impl PeiWindow {
 #[derive(Debug)]
 struct CoreCounters {
     instructions: CounterId,
-    tlb_walks: CounterId,
     issued_peis: CounterId,
     stall_mem: CounterId,
     stall_pei_buffer: CounterId,
@@ -192,7 +191,6 @@ impl CoreCounters {
     fn register(c: &mut Counters) -> Self {
         CoreCounters {
             instructions: c.register("instructions"),
-            tlb_walks: c.register("tlb_walks"),
             issued_peis: c.register("peis"),
             stall_mem: c.register("stall.mem"),
             stall_pei_buffer: c.register("stall.pei_buffer"),
@@ -253,7 +251,6 @@ impl Core {
         if tlb.access(addr.0 >> PAGE_SHIFT) {
             None
         } else {
-            self.counters.inc(self.c.tlb_walks);
             Some(tlb.walk_latency())
         }
     }
@@ -486,16 +483,9 @@ impl Core {
         self.counters.snapshot(label);
     }
 
-    /// Restore-time sanity handle: whether virtual memory is enabled.
-    pub fn has_tlb(&self) -> bool {
-        self.tlb.is_some()
-    }
-
     /// Dumps statistics under `prefix`.
     pub fn report(&self, prefix: &str, stats: &mut pei_engine::StatsReport) {
-        // `tlb_walks` duplicates `tlb.misses` below; keep the key set as-is.
-        self.counters
-            .flush_if(prefix, stats, |name| name != "tlb_walks");
+        self.counters.flush(prefix, stats);
         let (h, m) = self.tlb_stats();
         stats.bump(format!("{prefix}tlb.hits"), h as f64);
         stats.bump(format!("{prefix}tlb.misses"), m as f64);

@@ -102,22 +102,12 @@ impl Counters {
     }
 
     /// Writes every counter into `stats` as `{prefix}{name}`,
-    /// accumulating into existing keys. End-of-run only.
+    /// accumulating into existing keys, and each phase interval
+    /// recorded via [`snapshot`](Counters::snapshot) as
+    /// `{prefix}phase.{label}.{name}`. End-of-run only.
     pub fn flush(&self, prefix: &str, stats: &mut StatsReport) {
-        self.flush_if(prefix, stats, |_| true);
-    }
-
-    /// Like [`flush`](Counters::flush), but only for counters whose name
-    /// passes `keep` — for banks holding internal tallies (fed to other
-    /// models at end of run) that are not part of the published report.
-    /// Phase intervals recorded via [`snapshot`](Counters::snapshot) are
-    /// emitted under `{prefix}phase.{label}.{name}` and filtered by the
-    /// same `keep` (on the bare counter name).
-    pub fn flush_if(&self, prefix: &str, stats: &mut StatsReport, keep: impl Fn(&str) -> bool) {
         for (name, &v) in self.names.iter().zip(&self.slots) {
-            if keep(name) {
-                stats.bump(format!("{prefix}{name}"), v as f64);
-            }
+            stats.bump(format!("{prefix}{name}"), v as f64);
         }
         if self.snapshots.is_empty() {
             return;
@@ -125,13 +115,13 @@ impl Counters {
         let zeros = vec![0u64; self.slots.len()];
         let mut prev = &zeros;
         for (label, snap) in &self.snapshots {
-            self.flush_interval(prefix, label, prev, snap, stats, &keep);
+            self.flush_interval(prefix, label, prev, snap, stats);
             prev = snap;
         }
-        self.flush_interval(prefix, "steady", prev, &self.slots, stats, &keep);
+        self.flush_interval(prefix, "steady", prev, &self.slots, stats);
     }
 
-    /// Emits `end - start` for every kept counter as
+    /// Emits `end - start` for every counter as
     /// `{prefix}phase.{label}.{name}`.
     fn flush_interval(
         &self,
@@ -140,12 +130,9 @@ impl Counters {
         start: &[u64],
         end: &[u64],
         stats: &mut StatsReport,
-        keep: &impl Fn(&str) -> bool,
     ) {
         for ((name, &s), &e) in self.names.iter().zip(start).zip(end) {
-            if keep(name) {
-                stats.bump(format!("{prefix}phase.{label}.{name}"), (e - s) as f64);
-            }
+            stats.bump(format!("{prefix}phase.{label}.{name}"), (e - s) as f64);
         }
     }
 }
@@ -175,19 +162,6 @@ mod tests {
         stats.add("dram.reads", 1.0);
         c.flush("dram.", &mut stats);
         assert_eq!(stats.expect("dram.reads"), 4.0);
-    }
-
-    #[test]
-    fn flush_if_filters_by_name() {
-        let mut c = Counters::new();
-        let pub_ = c.register("hits");
-        let internal = c.register("accesses");
-        c.inc(pub_);
-        c.inc(internal);
-        let mut stats = StatsReport::new();
-        c.flush_if("l3.", &mut stats, |n| n != "accesses");
-        assert_eq!(stats.expect("l3.hits"), 1.0);
-        assert_eq!(stats.get("l3.accesses"), None);
     }
 
     #[test]
@@ -224,20 +198,6 @@ mod tests {
         let mut stats = StatsReport::new();
         c.flush("v.", &mut stats);
         assert_eq!(stats.len(), 1, "only the total must be emitted");
-    }
-
-    #[test]
-    fn phase_intervals_respect_flush_filter() {
-        let mut c = Counters::new();
-        let pub_ = c.register("hits");
-        let internal = c.register("accesses");
-        c.inc(pub_);
-        c.inc(internal);
-        c.snapshot("warmup");
-        let mut stats = StatsReport::new();
-        c.flush_if("l3.", &mut stats, |n| n != "accesses");
-        assert_eq!(stats.expect("l3.phase.warmup.hits"), 1.0);
-        assert_eq!(stats.get("l3.phase.warmup.accesses"), None);
     }
 
     #[test]

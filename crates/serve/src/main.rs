@@ -118,7 +118,7 @@ fn main() {
             "--tcp" => tcp = Some(args.value()?),
             "--stdio" => stdio = true,
             "--workers" => cfg.workers = args.count()?,
-            "--slice" => cfg.slice = args.int()?,
+            "--slice" => cfg.slice = args.count()? as u64,
             "--max-queue" => cfg.max_queue = Some(args.int()?).filter(|&n| n > 0),
             "--deadline-ms" => cfg.deadline_ms = Some(args.int()?).filter(|&n| n > 0),
             "--help" | "-h" => {

@@ -7,13 +7,17 @@ use std::process::Command;
 
 #[test]
 fn bad_arguments_exit_2_with_an_error_not_a_panic() {
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (&["--stdio", "--bogus"], "`--bogus`"),
         (
             &["--stdio", "--workers", "0"],
             "--workers must be an integer >= 1",
         ),
         (&["--stdio", "--slice", "x"], "--slice must be an integer"),
+        (
+            &["--stdio", "--slice", "0"],
+            "--slice must be an integer >= 1",
+        ),
         (
             &["--workers", "2"],
             "pick --stdio, or at least one of --socket",

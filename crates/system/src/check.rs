@@ -122,8 +122,6 @@ pub struct FailureReport {
     pub kind: FailureKind,
     /// Cycle of the last dispatched event.
     pub cycle: Cycle,
-    /// The classic `diagnose()` text: every component with work stuck.
-    pub diagnosis: String,
     /// Invariant violations collected before the run ended.
     pub violations: Vec<Violation>,
     /// Nonzero queue/buffer occupancies per component, as
@@ -257,6 +255,37 @@ pub enum FaultKind {
     /// Perturbs timing but violates nothing — checked runs complete
     /// (the harness's negative control).
     DelayEvent,
+}
+
+impl FaultKind {
+    /// Every fault kind, in declaration order.
+    pub const ALL: [FaultKind; 9] = [
+        FaultKind::WedgeVault,
+        FaultKind::LeakMshr,
+        FaultKind::CorruptLine,
+        FaultKind::LeakDirLock,
+        FaultKind::LeakLinkCredit,
+        FaultKind::OverfillPcu,
+        FaultKind::RogueXbarMessage,
+        FaultKind::DropEvent,
+        FaultKind::DelayEvent,
+    ];
+
+    /// Wire name, as daemon recipes spell it (`wedge-vault`,
+    /// `leak-mshr`, …).
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultKind::WedgeVault => "wedge-vault",
+            FaultKind::LeakMshr => "leak-mshr",
+            FaultKind::CorruptLine => "corrupt-line",
+            FaultKind::LeakDirLock => "leak-dir-lock",
+            FaultKind::LeakLinkCredit => "leak-link-credit",
+            FaultKind::OverfillPcu => "overfill-pcu",
+            FaultKind::RogueXbarMessage => "rogue-xbar-message",
+            FaultKind::DropEvent => "drop-event",
+            FaultKind::DelayEvent => "delay-event",
+        }
+    }
 }
 
 /// A deterministic, seeded set of faults to inject into one run.
@@ -408,7 +437,7 @@ impl CheckState {
         // window (fill victims mid-recall, locked placeholders).
         for (i, p) in sys.privs.iter().enumerate() {
             for (block, _) in p.lines() {
-                let bank = &sys.l3banks[sys.bank_of(block)];
+                let bank = &sys.l3banks[sys.wiring.bank_of(block)];
                 if bank.holds(block) {
                     continue;
                 }
@@ -483,8 +512,8 @@ impl CheckState {
     }
 
     fn check_xbar(&mut self, sys: &System, out: &mut Vec<Violation>) {
-        let switched = sys.xbar.messages();
-        let injected = sys.xsends;
+        let switched = sys.wiring.xbar.messages();
+        let injected = sys.wiring.xsends;
         if switched != injected {
             out.push(Violation {
                 checker: "xbar",
@@ -526,8 +555,8 @@ impl CheckState {
     }
 
     fn check_events(&mut self, sys: &System, out: &mut Vec<Violation>) {
-        let scheduled = sys.queue.total_scheduled();
-        let pending = sys.queue.len() as u64;
+        let scheduled = sys.wiring.queue.total_scheduled();
+        let pending = sys.wiring.queue.len() as u64;
         let dispatched = sys.dispatched;
         if scheduled != dispatched + pending {
             out.push(Violation {

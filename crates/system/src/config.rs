@@ -18,8 +18,6 @@ use pei_types::Cycle;
 pub struct MachineConfig {
     /// Number of host cores (each with a private cache and host PCU).
     pub cores: usize,
-    /// Core microarchitecture.
-    pub core: CoreConfig,
     /// Cache hierarchy and crossbar.
     pub mem: MemHierarchyConfig,
     /// Main memory.
@@ -53,7 +51,6 @@ impl MachineConfig {
     pub fn paper(policy: DispatchPolicy) -> Self {
         MachineConfig {
             cores: 16,
-            core: CoreConfig::paper(),
             mem: MemHierarchyConfig::paper(),
             hmc: HmcConfig::paper(),
             pcu: PcuConfig::paper(),
@@ -105,12 +102,12 @@ impl MachineConfig {
         cfg
     }
 
-    /// Per-core PEI-credit override: the core model's in-flight PEI bound
-    /// must match the PCU operand-buffer size.
+    /// The core microarchitecture: Table 2's core, with its in-flight
+    /// PEI bound set to the PCU operand-buffer size.
     pub fn core_config(&self) -> CoreConfig {
         CoreConfig {
             max_pei_inflight: self.pcu.operand_entries,
-            ..self.core
+            ..CoreConfig::paper()
         }
     }
 
@@ -146,7 +143,7 @@ mod tests {
     fn paper_preset_matches_table2() {
         let c = MachineConfig::paper(DispatchPolicy::LocalityAware);
         assert_eq!(c.cores, 16);
-        assert_eq!(c.core.issue_width, 4);
+        assert_eq!(c.core_config().issue_width, 4);
         assert_eq!(c.mem.l3.capacity, 16 * 1024 * 1024);
         assert_eq!(c.total_vaults(), 128);
         assert_eq!(c.dir_entries, 2048);
